@@ -109,7 +109,8 @@ BENCHMARK(BM_GatewayForward)
 // (sequential lookup/expiry prepare, then multi-lane AES HVF
 // computation): 64-packet batches via Gateway::process_batch. The
 // derived gateway_batched_over_scalar/<ases>/<r> rows in the JSON
-// record the speedup over BM_GatewayForward at identical arguments.
+// record the speedup over BM_GatewayForward (one process() call, a
+// batch of one, per packet) at identical arguments.
 void BM_GatewayForwardBatched(benchmark::State& state) {
   const int num_ases = static_cast<int>(state.range(0));
   const std::int64_t r = state.range(1);
@@ -354,32 +355,6 @@ BENCHMARK(BM_GatewayForwardBatchedHistory)
 [[maybe_unused]] const bool kHistoryRow = benchjson::request_ratio(
     "history_append_overhead", "BM_GatewayForwardBatchedSampled",
     "BM_GatewayForwardBatchedHistory");
-
-// Burst API variant (DPDK-style 32-packet bursts), path length 4.
-void BM_GatewayBurst(benchmark::State& state) {
-  const std::int64_t r = state.range(0);
-  Gateway& gw = gateway_for(4, r);
-  Rng rng(43);
-  constexpr size_t kBurst = 32;
-  ResId ids[kBurst];
-  std::uint32_t sizes[kBurst] = {};
-  FastPacket pkts[kBurst];
-  Gateway::Verdict verdicts[kBurst];
-
-  std::uint64_t processed = 0;
-  for (auto _ : state) {
-    for (auto& id : ids) {
-      id = static_cast<ResId>(1 + rng.below(static_cast<std::uint64_t>(r)));
-    }
-    processed += gw.process_burst(ids, sizes, kBurst, pkts, verdicts);
-    benchmark::DoNotOptimize(pkts[0].hvfs[0]);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(processed));
-  state.counters["Mpps"] = benchmark::Counter(
-      static_cast<double>(processed) / 1e6, benchmark::Counter::kIsRate);
-}
-
-BENCHMARK(BM_GatewayBurst)->Arg(1 << 10)->Arg(1 << 15)->Arg(1 << 20);
 
 }  // namespace
 

@@ -256,7 +256,8 @@ BENCHMARK(BM_RouterMulticore)
 // Same pre-authenticated packet mix through the staged batch pipeline:
 // one full PacketBatch per iteration, cursors reset between passes. The
 // derived router_batched_over_scalar/<threads> JSON rows record the
-// speedup over the scalar BM_RouterMulticore at the same thread count.
+// speedup over BM_RouterMulticore (one process() call, a batch of one,
+// per packet) at the same thread count.
 void BM_RouterMulticoreBatched(benchmark::State& state) {
   thread_local std::unique_ptr<BorderRouter> router;
   thread_local std::unique_ptr<dataplane::PacketBatch> batch;

@@ -5,11 +5,12 @@
 #
 # After each functional preset's full suite, the data-plane parity gate
 # re-runs by name: the wire-fuzz corpus replay (tests/fuzz) plus the
-# scalar-vs-batched differential suites. These are the tests that prove
-# the batched/sharded pipeline is observationally identical to the
-# scalar reference, so they get their own visible (and grep-able) CI
-# step — under the asan preset this is the required "differential under
-# ASan+UBSan" run.
+# differential suites that run the pipeline against the per-packet
+# reference router and gateway in tests/support (the oracle). These are
+# the tests that prove the one pipeline and its sharded layer are
+# observationally identical to the reference, so they get their own
+# visible (and grep-able) CI step — under the asan preset this is the
+# required "differential under ASan+UBSan" run.
 #
 # The tsan preset is a race lane, not a functional lane: it runs the
 # concurrency-shaped suites (the telemetry stress test, the sharded
@@ -20,6 +21,11 @@
 # chaos lane by label: the fault-injection, link-failover, and WAL
 # crash-recovery suites carry the `chaos` ctest label (tests/CMakeLists)
 # so the deterministic-adversity proof is a visible CI step of its own.
+#
+# The default preset also runs the repository benchmark's data-plane
+# workload for a few seconds and fails unless it reports a correct run:
+# forged packets dropped at the predicted hop, replays dropped, valid
+# packets delivered, all through the one router and gateway pipeline.
 #
 # The default preset additionally smoke-tests the colibri_obs tool end
 # to end: run the demo scenario, dump every artifact, export a Perfetto
@@ -92,9 +98,16 @@ for preset in "${PRESETS[@]}"; do
   ctest --preset "$preset"
   echo "=== [$preset] data-plane parity gate (fuzz corpus + differential)"
   ctest --preset "$preset" \
-    -R 'fuzz_corpus_replay|RouterDifferential|GatewayDifferential|ShardedGatewayTest|CmacMultiTest|BatchedFlightRecorderTest'
+    -R 'fuzz_corpus_replay|RouterDifferential|GatewayDifferential|WireRouterTest|ShardedGatewayTest|CmacMultiTest|BatchedFlightRecorderTest'
   echo "=== [$preset] chaos lane (fault injection, failover, WAL recovery)"
   ctest --preset "$preset" -L chaos
+  if [ "$preset" = default ]; then
+    echo "=== [default] end-to-end data-plane check (perfbench dp_attack_long_path)"
+    result=$(python3 perfbench/run.py --workload dp_attack_long_path --seed 1 \
+      --seconds 3 --trace 0 | tail -1)
+    echo "$result"
+    echo "$result" | grep -q '"correct": true'
+  fi
 done
 
 for preset in "${PRESETS[@]}"; do
@@ -104,7 +117,9 @@ for preset in "${PRESETS[@]}"; do
     [ -x "$OBS" ] || OBS=$(find build -name colibri_obs -type f | head -1)
     "$OBS" > /dev/null
     "$OBS" --dump=openmetrics | grep -q '^# EOF$'
-    "$OBS" --dump=events | head -1 | grep -q '"name"'
+    # sed reads the whole dump; head would close the pipe early and
+    # kill the writer with SIGPIPE under pipefail.
+    "$OBS" --dump=events | sed -n 1p | grep -q '"name"'
     "$OBS" --query=router.forwarded > /dev/null
     trace_out=$(mktemp /tmp/colibri_trace.XXXXXX.json)
     "$OBS" trace --perfetto "$trace_out" | grep -q 'trace events'

@@ -233,7 +233,6 @@ ChaosReport run_chaos_universe(const ChaosOptions& opts) {
   // so same-seed runs produce identical segments and bundles.
   scfg.series_filter = [](std::string_view name) {
     return name != "cserv.request_latency_ns" &&
-           name != "router.validate_latency_ns" &&
            name != "bus.hop_latency_ns";
   };
   telemetry::WindowedSampler sampler(registry, clock, scfg, &registry);

@@ -1,11 +1,12 @@
 // Multi-lane AES/CBC-MAC primitives for the batched data-plane pipeline.
 //
-// The scalar hot path (hvf.hpp) computes one CBC-MAC at a time, which on
+// The single-MAC helpers (hvf.hpp) compute one CBC-MAC at a time, which on
 // AES-NI hardware leaves the aesenc pipeline mostly idle: a single chain
 // is latency-bound. These helpers keep many independent MAC states in
 // flight — same-key lanes ride Aes128::encrypt_blocks (4-wide interleave),
 // per-lane-key batches go through aes128_encrypt_each — so the batched
-// pipeline amortizes both the cipher latency and the key expansion.
+// pipeline (and its batch of one) amortizes both the cipher latency and
+// the key expansion.
 //
 // Verdict parity matters more than speed here: every function is defined
 // to produce byte-identical output to its scalar counterpart in hvf.hpp

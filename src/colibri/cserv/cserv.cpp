@@ -652,6 +652,7 @@ void CServ::tick() {
   });
   registry_.expire(now);
   key_cache_.expire(now);
+  rate_limiter_.expire(clock_->now_ns());
 }
 
 size_t CServ::restore_from_wal() {

@@ -24,8 +24,13 @@ class RequestLimiter {
   bool allow(std::uint64_t key, TimeNs now);
 
   size_t tracked() const { return state_.size(); }
-  // Drops entries idle for more than `idle_ns`.
+  // Drops entries idle for more than `idle_ns` whose budget has refilled
+  // to the full burst. Such an entry is indistinguishable from the fresh
+  // one allow() would create, so dropping it changes no verdict.
   void expire(TimeNs now, TimeNs idle_ns);
+  // Idle time after which any entry has refilled: burst / rate
+  // (saturating; a zero rate never refills).
+  TimeNs refill_ns() const;
 
  private:
   struct State {
@@ -59,6 +64,15 @@ class ControlRateLimiter {
                               (static_cast<std::uint64_t>(key.res_id) << 32),
                           now);
   }
+
+  // Forgets sources and reservations idle for longer than their budget
+  // takes to refill; CServ::tick calls this so both maps stay bounded by
+  // the recently active keys.
+  void expire(TimeNs now) {
+    per_as_.expire(now, per_as_.refill_ns());
+    per_res_.expire(now, per_res_.refill_ns());
+  }
+  size_t tracked() const { return per_as_.tracked() + per_res_.tracked(); }
 
   const RateLimitConfig& config() const { return cfg_; }
 

@@ -1,11 +1,11 @@
 // Fixed-capacity packet batch for the staged forwarding pipeline.
 //
-// The scalar router/gateway paths process one packet end-to-end; the
-// batched paths (BorderRouter::process_batch, Gateway::process_batch)
-// instead run each *stage* across the whole batch — header sanity,
+// The router and gateway pipelines (BorderRouter::process_batch,
+// Gateway::process_batch; their single-packet process() is a batch of
+// one) run each *stage* across the whole batch — header sanity,
 // software prefetch of restable/dupsup state, multi-lane HVF crypto —
 // before a sequential per-packet finalize. A PacketBatch is the unit
-// those pipelines operate on: a flat array of FastPacket slots, no
+// the router pipeline operates on: a flat array of FastPacket slots, no
 // allocation, capacity sized so the per-batch crypto scratch (one AES
 // schedule and MAC lane per packet) stays comfortably on the stack.
 #pragma once
@@ -46,7 +46,7 @@ struct PacketBatch {
 // leaving the batch unchanged — if the frame does not parse, the batch
 // is full, or the packet's hop count exceeds the FastPacket fixed
 // capacity (such packets cannot round-trip through FastPacket and the
-// scalar router would reject them as malformed anyway).
+// router would reject them as malformed anyway).
 bool batch_ingest(BytesView frame, PacketBatch& batch);
 
 }  // namespace colibri::dataplane

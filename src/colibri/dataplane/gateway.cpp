@@ -52,6 +52,7 @@ Gateway::Gateway(AsId local_as, const Clock& clock, const GatewayConfig& cfg,
 
 namespace {
 inline std::size_t idx(Gateway::Verdict v) { return static_cast<std::size_t>(v); }
+constexpr size_t kChunk = 64;  // packets per pipeline run
 }  // namespace
 
 bool Gateway::install(const proto::ResInfo& resinfo,
@@ -127,66 +128,10 @@ Gateway::Verdict Gateway::prepare(ResId id, std::uint32_t payload_bytes,
   return Verdict::kOk;
 }
 
-Gateway::Verdict Gateway::classify(ResId id, std::uint32_t payload_bytes,
-                                   FastPacket& out,
-                                   telemetry::FlightRecord* rec) {
-  GatewayEntry* e = nullptr;
-  const Verdict v = prepare(id, payload_bytes, out, &e, rec);
-  if (v != Verdict::kOk) return v;
-
-  // One single-block MAC per on-path AS (Eq. 6), keyed by σ_i.
-  const std::uint32_t size = out.wire_size();
-  for (std::uint8_t i = 0; i < e->num_hops; ++i) {
-    out.hvfs[i] = compute_data_hvf(e->sigmas[i], out.timestamp, size);
-  }
-  return Verdict::kOk;
-}
-
 Gateway::Verdict Gateway::process(ResId id, std::uint32_t payload_bytes,
                                   FastPacket& out) {
-  if (profiler_.enabled()) [[unlikely]] {
-    const std::int64_t t0 = telemetry::profiler_now_ns();
-    const Verdict v = process_impl(id, payload_bytes, out);
-    profiler_.finish(kStageScalar, t0);
-    return v;
-  }
-  return process_impl(id, payload_bytes, out);
-}
-
-Gateway::Verdict Gateway::process_impl(ResId id, std::uint32_t payload_bytes,
-                                       FastPacket& out) {
-  if (recorder_ != nullptr) [[unlikely]] {
-    return process_recorded(id, payload_bytes, out);
-  }
-  const Verdict v = classify(id, payload_bytes, out, nullptr);
-  verdicts_[idx(v)].bump();
-  return v;
-}
-
-// See BorderRouter::process_recorded for the sampling/commit contract.
-Gateway::Verdict Gateway::process_recorded(ResId id,
-                                           std::uint32_t payload_bytes,
-                                           FastPacket& out) {
-  if (!recorder_->armed()) {
-    const Verdict v = classify(id, payload_bytes, out, nullptr);
-    verdicts_[idx(v)].bump();
-    return v;
-  }
-  const bool sampled = recorder_->sample_tick();
-  telemetry::FlightRecord rec;
-  rec.component = telemetry::FlightRecorder::kGateway;
-  rec.time_ns = clock_->now_ns();  // classify overwrites once entry found
-  rec.res_id = id;
-  rec.src_as = local_as_.raw();  // unknown reservation: report our own AS
-  const Verdict v = classify(id, payload_bytes, out, &rec);
-  verdicts_[idx(v)].bump();
-  const bool is_drop = v != Verdict::kOk;
-  if (sampled || (is_drop && recorder_->record_drops())) {
-    rec.verdict = static_cast<std::uint8_t>(v);
-    rec.errc = static_cast<std::uint8_t>(errc_from_verdict(v));
-    rec.forced_by_drop = !sampled;
-    recorder_->commit(rec);
-  }
+  Verdict v;
+  run(&id, &payload_bytes, 1, &out, &v);
   return v;
 }
 
@@ -203,35 +148,19 @@ Gateway::Verdict Gateway::process_encapsulated(ResId id,
   return Verdict::kOk;
 }
 
-size_t Gateway::process_burst(const ResId* ids,
-                              const std::uint32_t* payload_bytes, size_t n,
-                              FastPacket* out, Verdict* verdicts) {
-  size_t ok = 0;
-  for (size_t i = 0; i < n; ++i) {
-    verdicts[i] = process(ids[i], payload_bytes[i], out[i]);
-    if (verdicts[i] == Verdict::kOk) ++ok;
-  }
-  return ok;
-}
-
 size_t Gateway::process_batch(const ResId* ids,
                               const std::uint32_t* payload_bytes, size_t n,
                               FastPacket* out, Verdict* verdicts) {
-  constexpr size_t kChunk = 64;
   size_t ok = 0;
   for (size_t done = 0; done < n; done += kChunk) {
     const size_t m = (n - done < kChunk) ? n - done : kChunk;
-    ok += process_batch_chunk(ids + done, payload_bytes + done, m, out + done,
-                              verdicts + done);
+    ok += run(ids + done, payload_bytes + done, m, out + done, verdicts + done);
   }
   return ok;
 }
 
-size_t Gateway::process_batch_chunk(const ResId* ids,
-                                    const std::uint32_t* payload_bytes,
-                                    size_t n, FastPacket* out,
-                                    Verdict* verdicts) {
-  constexpr size_t kChunk = 64;
+size_t Gateway::run(const ResId* ids, const std::uint32_t* payload_bytes,
+                    size_t n, FastPacket* out, Verdict* verdicts) {
   const bool armed = recorder_ != nullptr && recorder_->armed();
   const bool prof = profiler_.enabled();
   std::int64_t tp = prof ? telemetry::profiler_now_ns() : 0;
@@ -243,8 +172,8 @@ size_t Gateway::process_batch_chunk(const ResId* ids,
 
   // Stage 2: sequential prepare in arrival order. The token bucket and
   // timestamp encoder are stateful: duplicate ids within one batch must
-  // observe each other's token consumption exactly as the scalar loop
-  // would. No inserts happen here, so the entry pointers stay valid
+  // observe each other's token consumption exactly as they would one
+  // call apart. No inserts happen here, so the entry pointers stay valid
   // through the crypto stage below.
   GatewayEntry* ents[kChunk];
   size_t ok = 0;
@@ -261,13 +190,9 @@ size_t Gateway::process_batch_chunk(const ResId* ids,
       rec.res_id = ids[i];
       rec.src_as = local_as_.raw();  // unknown reservation: our own AS
       v = prepare(ids[i], payload_bytes[i], out[i], &ents[i], &rec);
-      const bool is_drop = v != Verdict::kOk;
-      if (sampled || (is_drop && recorder_->record_drops())) {
-        rec.verdict = static_cast<std::uint8_t>(v);
-        rec.errc = static_cast<std::uint8_t>(errc_from_verdict(v));
-        rec.forced_by_drop = !sampled;
-        recorder_->commit(rec);
-      }
+      recorder_->offer(rec, sampled, v != Verdict::kOk,
+                       static_cast<std::uint8_t>(v),
+                       static_cast<std::uint8_t>(errc_from_verdict(v)));
     }
     verdicts_[idx(v)].bump();
     verdicts[i] = v;

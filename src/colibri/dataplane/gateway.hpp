@@ -80,13 +80,9 @@ class Gateway : public telemetry::MetricsSource {
 
   // --- fast path ---------------------------------------------------------
   // Host hands in (ResId, payload length); the gateway monitors, stamps,
-  // authenticates, and emits the complete packet into `out`.
+  // authenticates, and emits the complete packet into `out`. A batch of
+  // one through process_batch().
   Verdict process(ResId id, std::uint32_t payload_bytes, FastPacket& out);
-
-  // DPDK-style burst entry point; returns number of packets that passed.
-  // Scalar reference loop: processes packets one at a time.
-  size_t process_burst(const ResId* ids, const std::uint32_t* payload_bytes,
-                       size_t n, FastPacket* out, Verdict* verdicts);
 
   // Staged batch pipeline: restable prefetch for the whole batch, then
   // a sequential per-packet prepare (lookup, expiry, header assembly,
@@ -94,7 +90,7 @@ class Gateway : public telemetry::MetricsSource {
   // ids in one batch drain the bucket in arrival order), then a
   // multi-lane Eq. 6 HVF fill with one AES state in flight per
   // (packet, hop) lane. Verdicts, counters, and flight records are
-  // byte-identical to calling process() per packet in order. Any n is
+  // identical to calling process() per packet in order. Any n is
   // accepted (chunked internally); returns the number that passed.
   size_t process_batch(const ResId* ids, const std::uint32_t* payload_bytes,
                        size_t n, FastPacket* out, Verdict* verdicts);
@@ -107,11 +103,11 @@ class Gateway : public telemetry::MetricsSource {
   }
 
   // Per-stage latency profiler (disabled by default). When enabled,
-  // process_batch() attributes nanoseconds to each pipeline stage
-  // (prefetch / prepare / hvf_crypto) per 64-packet chunk plus the
-  // chunk-occupancy histogram; the scalar process() records under the
-  // "scalar" stage. Exported as "gateway.stage.<label>_ns" (and
-  // re-exported per shard as "gateway_shard.<i>.stage.<label>_ns").
+  // every call — process() included, as a batch of one — attributes
+  // nanoseconds to each pipeline stage (prefetch / prepare / hvf_crypto)
+  // per 64-packet chunk plus the chunk-occupancy histogram. Exported as
+  // "gateway.stage.<label>_ns" (and re-exported per shard as
+  // "gateway_shard.<i>.stage.<label>_ns").
   telemetry::StageProfiler& profiler() { return profiler_; }
   const telemetry::StageProfiler& profiler() const { return profiler_; }
 
@@ -119,7 +115,6 @@ class Gateway : public telemetry::MetricsSource {
   static constexpr std::size_t kStagePrefetch = 0;
   static constexpr std::size_t kStagePrepare = 1;
   static constexpr std::size_t kStageHvfCrypto = 2;
-  static constexpr std::size_t kStageScalar = 3;
 
   // Like process(), but emits the packet serialized and encapsulated for
   // the intra-AS network (App. B): IPv4/UDP toward the egress border
@@ -131,8 +126,6 @@ class Gateway : public telemetry::MetricsSource {
   // Uniform stats accessors: consistent point-in-time view + reset.
   GatewayStats snapshot() const;
   void reset();
-  // Legacy view, kept as a thin alias of snapshot().
-  GatewayStats stats() const { return snapshot(); }
 
   // Emits under "gateway.*" (bare names routed through a PrefixedSink).
   void collect_metrics(telemetry::MetricSink& sink) const override;
@@ -145,22 +138,16 @@ class Gateway : public telemetry::MetricsSource {
 
  private:
   // Everything except the per-hop HVF fill: lookup, expiry, header
-  // assembly, token bucket, timestamp. Shared by the scalar classify()
-  // and the batched pipeline (which defers the HVF crypto to a
-  // multi-lane stage); on kOk, `*entry_out` points at the live entry.
-  // `rec` is nullptr on the fast path; when non-null, decision-time
-  // detail (token-bucket level, reservation identity) is captured.
+  // assembly, token bucket, timestamp; on kOk, `*entry_out` points at
+  // the live entry. `rec` is nullptr on the fast path; when non-null,
+  // decision-time detail (token-bucket level, reservation identity) is
+  // captured.
   Verdict prepare(ResId id, std::uint32_t payload_bytes, FastPacket& out,
                   GatewayEntry** entry_out, telemetry::FlightRecord* rec);
-  Verdict classify(ResId id, std::uint32_t payload_bytes, FastPacket& out,
-                   telemetry::FlightRecord* rec);
-  Verdict process_recorded(ResId id, std::uint32_t payload_bytes,
-                           FastPacket& out);
-  // process() minus the profiler wrapper (the common fast path).
-  Verdict process_impl(ResId id, std::uint32_t payload_bytes, FastPacket& out);
-  size_t process_batch_chunk(const ResId* ids,
-                             const std::uint32_t* payload_bytes, size_t n,
-                             FastPacket* out, Verdict* verdicts);
+  // The pipeline core behind process() and process_batch(): one chunk
+  // of n <= 64 packets; returns the number that passed.
+  size_t run(const ResId* ids, const std::uint32_t* payload_bytes, size_t n,
+             FastPacket* out, Verdict* verdicts);
 
   AsId local_as_;
   const Clock* clock_;
@@ -168,8 +155,7 @@ class Gateway : public telemetry::MetricsSource {
   ResTable table_;
   telemetry::FlightRecorder* recorder_ = nullptr;
   std::array<telemetry::Counter, kNumVerdicts> verdicts_;
-  telemetry::StageProfiler profiler_{"prefetch", "prepare", "hvf_crypto",
-                                     "scalar"};
+  telemetry::StageProfiler profiler_{"prefetch", "prepare", "hvf_crypto"};
   telemetry::ScopedSource registration_;
 };
 

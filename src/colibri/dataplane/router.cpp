@@ -1,6 +1,5 @@
 #include "colibri/dataplane/router.hpp"
 
-#include <chrono>
 #include <cstring>
 
 #include "colibri/crypto/cmac_multi.hpp"
@@ -11,12 +10,6 @@ namespace {
 
 inline std::size_t idx(BorderRouter::Verdict v) {
   return static_cast<std::size_t>(v);
-}
-
-inline std::int64_t steady_now_ns() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
 }
 
 }  // namespace
@@ -30,34 +23,8 @@ BorderRouter::BorderRouter(AsId local_as, const drkey::Key128& hop_key,
       registration_(registry, this) {}
 
 template <bool kRecording>
-BorderRouter::Verdict BorderRouter::classify(FastPacket& pkt,
-                                             telemetry::FlightRecord* rec) {
-  // Format checks.
-  if (pkt.num_hops == 0 || pkt.num_hops > kMaxHops ||
-      pkt.current_hop >= pkt.num_hops) {
-    return Verdict::kMalformed;
-  }
-  const TimeNs now = clock_->now_ns();
-  return finalize<kRecording>(
-      pkt, now,
-      [&]() -> proto::Hvf {
-        const IfPair hop = pkt.ifaces[pkt.current_hop];
-        if (pkt.is_eer) {
-          // Eq. 4 then Eq. 6: recreate σ_i from K_i, derive the
-          // per-packet HVF.
-          const HopAuth sigma = compute_hopauth(hop_cipher_, pkt.resinfo,
-                                                pkt.eerinfo, hop.in, hop.eg);
-          return compute_data_hvf(sigma, pkt.timestamp, pkt.wire_size());
-        }
-        // Eq. 3: static SegR token.
-        return compute_seg_hvf(hop_cipher_, pkt.resinfo, hop.in, hop.eg);
-      },
-      rec);
-}
-
-template <bool kRecording, typename HvfFn>
 BorderRouter::Verdict BorderRouter::finalize(FastPacket& pkt, TimeNs now,
-                                             HvfFn&& expected_hvf,
+                                             const proto::Hvf& expected,
                                              telemetry::FlightRecord* rec) {
   if constexpr (kRecording) {
     rec->time_ns = now;
@@ -80,7 +47,6 @@ BorderRouter::Verdict BorderRouter::finalize(FastPacket& pkt, TimeNs now,
     return Verdict::kBlocked;
   }
 
-  const proto::Hvf expected = expected_hvf();
   if constexpr (kRecording) {
     rec->hvf_checked = true;
     std::copy_n(pkt.hvfs[pkt.current_hop].begin(), rec->hvf_got.size(),
@@ -131,67 +97,6 @@ BorderRouter::Verdict BorderRouter::finalize(FastPacket& pkt, TimeNs now,
   }
   ++pkt.current_hop;
   return Verdict::kForward;
-}
-
-BorderRouter::Verdict BorderRouter::process(FastPacket& pkt) {
-  if (profiler_.enabled()) [[unlikely]] {
-    const std::int64_t t0 = telemetry::profiler_now_ns();
-    const Verdict v = process_impl(pkt);
-    profiler_.finish(kStageScalar, t0);
-    return v;
-  }
-  return process_impl(pkt);
-}
-
-BorderRouter::Verdict BorderRouter::process_impl(FastPacket& pkt) {
-  if (recorder_ != nullptr) [[unlikely]] {
-    return process_recorded(pkt);
-  }
-  if (sample_every_ != 0 && --sample_countdown_ == 0) {
-    sample_countdown_ = sample_every_;
-    const std::int64_t t0 = steady_now_ns();
-    const Verdict v = classify<false>(pkt, nullptr);
-    validate_latency_ns_.record(
-        static_cast<std::uint64_t>(steady_now_ns() - t0));
-    verdicts_[idx(v)].bump();
-    return v;
-  }
-  const Verdict v = classify<false>(pkt, nullptr);
-  verdicts_[idx(v)].bump();
-  return v;
-}
-
-// process() with a flight recorder attached. Detail is captured into a
-// stack-local record during classification (a handful of stores, no
-// allocation) and committed to the ring when the deterministic sampler
-// keeps the packet or the verdict is a drop under record-on-drop mode.
-BorderRouter::Verdict BorderRouter::process_recorded(FastPacket& pkt) {
-  if (!recorder_->armed()) {
-    const Verdict v = classify<false>(pkt, nullptr);
-    verdicts_[idx(v)].bump();
-    return v;
-  }
-  const bool sampled = recorder_->sample_tick();
-  telemetry::FlightRecord rec;
-  rec.component = telemetry::FlightRecorder::kRouter;
-  rec.time_ns = clock_->now_ns();  // classify overwrites unless malformed
-  rec.res_id = pkt.resinfo.res_id;
-  rec.src_as = pkt.resinfo.src_as.raw();
-  const Verdict v = classify<true>(pkt, &rec);
-  verdicts_[idx(v)].bump();
-  const bool is_drop = v != Verdict::kForward && v != Verdict::kDeliver;
-  if (sampled || (is_drop && recorder_->record_drops())) {
-    rec.verdict = static_cast<std::uint8_t>(v);
-    rec.errc = static_cast<std::uint8_t>(errc_from_verdict(v));
-    rec.forced_by_drop = !sampled;
-    recorder_->commit(rec);
-  }
-  return v;
-}
-
-void BorderRouter::process_burst(FastPacket* pkts, size_t n,
-                                 Verdict* verdicts) {
-  for (size_t i = 0; i < n; ++i) verdicts[i] = process(pkts[i]);
 }
 
 // Multi-lane expected-HVF computation. All per-packet MACs under K_i
@@ -265,22 +170,30 @@ void BorderRouter::batch_expected_hvfs(const FastPacket* pkts, std::size_t n,
   }
 }
 
+BorderRouter::Verdict BorderRouter::process(FastPacket& pkt) {
+  Verdict v;
+  run(&pkt, 1, &v);
+  return v;
+}
+
 void BorderRouter::process_batch(PacketBatch& batch, Verdict* verdicts) {
+  run(batch.pkts.data(), batch.size, verdicts);
+}
+
+void BorderRouter::run(FastPacket* pkts, std::size_t n, Verdict* verdicts) {
   constexpr std::size_t kCap = PacketBatch::kCapacity;
-  const std::size_t n = batch.size;
-  FastPacket* pkts = batch.pkts.data();
   const bool armed = recorder_ != nullptr && recorder_->armed();
   const bool prof = profiler_.enabled();
   std::int64_t tp = prof ? telemetry::profiler_now_ns() : 0;
 
-  // Stage 1: header sanity + clock sampling, sequential in packet order.
-  // Clock-call parity with the scalar path: exactly one now_ns() per
-  // well-formed packet (plus the recorder's pre-classify sample when
-  // armed), in arrival order, so verdicts match even under a clock that
-  // advances per call.
+  // Stage 1: header sanity + clock sampling, sequential in packet order:
+  // exactly one now_ns() per well-formed packet (plus the recorder's
+  // pre-finalize sample when armed), in arrival order, so verdicts do
+  // not depend on how a stream is cut into batches, even under a clock
+  // that advances per call.
   TimeNs now[kCap];
   TimeNs pre[kCap];
-  bool fmt_ok[kCap];
+  bool fmt_ok[kCap] = {};
   bool sampled[kCap];
   for (std::size_t i = 0; i < n; ++i) {
     if (armed) {
@@ -318,8 +231,7 @@ void BorderRouter::process_batch(PacketBatch& batch, Verdict* verdicts) {
   for (std::size_t i = 0; i < n; ++i) {
     Verdict v;
     if (!armed) {
-      v = fmt_ok[i] ? finalize<false>(
-                          pkts[i], now[i], [&] { return expected[i]; }, nullptr)
+      v = fmt_ok[i] ? finalize<false>(pkts[i], now[i], expected[i], nullptr)
                     : Verdict::kMalformed;
     } else {
       telemetry::FlightRecord rec;
@@ -327,16 +239,12 @@ void BorderRouter::process_batch(PacketBatch& batch, Verdict* verdicts) {
       rec.time_ns = pre[i];  // finalize overwrites unless malformed
       rec.res_id = pkts[i].resinfo.res_id;
       rec.src_as = pkts[i].resinfo.src_as.raw();
-      v = fmt_ok[i] ? finalize<true>(
-                          pkts[i], now[i], [&] { return expected[i]; }, &rec)
+      v = fmt_ok[i] ? finalize<true>(pkts[i], now[i], expected[i], &rec)
                     : Verdict::kMalformed;
-      const bool is_drop = v != Verdict::kForward && v != Verdict::kDeliver;
-      if (sampled[i] || (is_drop && recorder_->record_drops())) {
-        rec.verdict = static_cast<std::uint8_t>(v);
-        rec.errc = static_cast<std::uint8_t>(errc_from_verdict(v));
-        rec.forced_by_drop = !sampled[i];
-        recorder_->commit(rec);
-      }
+      recorder_->offer(rec, sampled[i],
+                       v != Verdict::kForward && v != Verdict::kDeliver,
+                       static_cast<std::uint8_t>(v),
+                       static_cast<std::uint8_t>(errc_from_verdict(v)));
     }
     verdicts_[idx(v)].bump();
     verdicts[i] = v;
@@ -362,7 +270,6 @@ RouterStats BorderRouter::snapshot() const {
 
 void BorderRouter::reset() {
   for (auto& c : verdicts_) c.reset();
-  validate_latency_ns_.reset();
   profiler_.reset();
 }
 
@@ -373,10 +280,6 @@ void BorderRouter::collect_metrics(telemetry::MetricSink& sink) const {
     const auto v = static_cast<Verdict>(i);
     sink.counter(std::string("router.drop.") + errc_name(errc_from_verdict(v)),
                  verdicts_[i].value());
-  }
-  const auto latency = validate_latency_ns_.snapshot();
-  if (latency.count != 0) {
-    sink.histogram("router.validate_latency_ns", latency);
   }
   telemetry::PrefixedSink prefixed("router.", sink);
   profiler_.collect_metrics(prefixed);

@@ -11,11 +11,15 @@
 // the duplicate-suppression component, which our benchmarks mirror by
 // leaving the hooks null.
 //
+// One validation pipeline serves every entry point: process() is a batch
+// of one through the same staged core as process_batch(). The
+// independent per-packet reference that the differential suites compare
+// against lives with the tests, not here.
+//
 // Telemetry: verdict counters are instance-local single-writer atomics
 // (one router instance is driven by one thread at a time, as in the
 // multicore benchmarks) exported through the process-wide
-// MetricsRegistry; per-packet validation latency is sampled into a
-// histogram only when set_latency_sampling() enables it.
+// MetricsRegistry; the optional StageProfiler times every call.
 #pragma once
 
 #include <array>
@@ -73,23 +77,17 @@ class BorderRouter : public telemetry::MetricsSource {
   };
   static constexpr std::size_t kNumVerdicts = 8;
 
-  // Validates and advances one packet. The packet's current_hop must
-  // point at this AS's hop entry.
+  // Validates and advances one packet: a batch of one through the
+  // pipeline below. The packet's current_hop must point at this AS's
+  // hop entry.
   Verdict process(FastPacket& pkt);
-
-  // DPDK-style burst processing (32-packet bursts in the benchmarks).
-  // Scalar reference loop: processes packets one at a time.
-  void process_burst(FastPacket* pkts, size_t n, Verdict* verdicts);
 
   // Staged batch pipeline. Runs each validation stage across the whole
   // batch — header sanity + clock sampling, dupsup prefetch, multi-lane
-  // expected-HVF crypto — then a sequential per-packet finalize that
-  // shares its predicates with the scalar classify(), so verdicts, errc
-  // mapping, telemetry counters, and flight-recorder records are
-  // byte-identical to calling process() on each packet in order.
-  // (The only scalar-path feature the batch path does not replicate is
-  // set_latency_sampling(), whose wall-clock histogram is inherently
-  // per-call.) Writes batch.size verdicts.
+  // expected-HVF crypto — then a sequential per-packet finalize, so
+  // verdicts, telemetry counters, and flight-recorder records are
+  // identical to calling process() on each packet in order. Writes
+  // batch.size verdicts.
   void process_batch(PacketBatch& batch, Verdict* verdicts);
 
   // Optional monitoring/policing hooks (owned by the caller).
@@ -106,11 +104,10 @@ class BorderRouter : public telemetry::MetricsSource {
   }
 
   // Per-stage latency profiler (disabled by default). When enabled,
-  // process_batch() attributes nanoseconds to each pipeline stage
-  // (header_sanity / prefetch / hvf_crypto / finalize) and records the
-  // batch-occupancy histogram; the scalar process() records its whole
-  // validation under the "scalar" stage. Exported as
-  // "router.stage.<label>_ns" / "router.batch_occupancy".
+  // every call — process() included, as a batch of one — attributes
+  // nanoseconds to each pipeline stage (header_sanity / prefetch /
+  // hvf_crypto / finalize) and records the batch-occupancy histogram.
+  // Exported as "router.stage.<label>_ns" / "router.batch_occupancy".
   telemetry::StageProfiler& profiler() { return profiler_; }
   const telemetry::StageProfiler& profiler() const { return profiler_; }
 
@@ -119,51 +116,31 @@ class BorderRouter : public telemetry::MetricsSource {
   static constexpr std::size_t kStagePrefetch = 1;
   static constexpr std::size_t kStageHvfCrypto = 2;
   static constexpr std::size_t kStageFinalize = 3;
-  static constexpr std::size_t kStageScalar = 4;
-
-  // Records the wall-clock validation latency of every `every_n`th
-  // packet into the "router.validate_latency_ns" histogram; 0 (default)
-  // disables sampling and keeps the fast path clock-free. Applies to
-  // the scalar process()/process_burst() path only.
-  void set_latency_sampling(std::uint32_t every_n) {
-    sample_every_ = every_n;
-    sample_countdown_ = every_n;
-  }
 
   // Uniform stats accessors: consistent point-in-time view + reset.
   RouterStats snapshot() const;
   void reset();
-  // Legacy view, kept as a thin alias of snapshot().
-  RouterStats stats() const { return snapshot(); }
 
   void collect_metrics(telemetry::MetricSink& sink) const override;
 
   AsId local_as() const { return local_as_; }
 
  private:
-  // Compile-time split so the fast path carries no capture branches:
-  // classify<false> ignores `rec`; classify<true> fills decision-time
+  // The validation core behind process() and process_batch():
+  // n <= PacketBatch::kCapacity packets, n verdicts.
+  void run(FastPacket* pkts, std::size_t n, Verdict* verdicts);
+  // Everything after the format check and clock sample: expiry,
+  // blocklist, HVF comparison, dupsup, OFD, cursor advance. Compile-time
+  // split so the fast path carries no capture branches:
+  // finalize<false> ignores `rec`; finalize<true> fills decision-time
   // detail (HVF comparison, dupsup/OFD verdicts) into it.
   template <bool kRecording>
-  Verdict classify(FastPacket& pkt, telemetry::FlightRecord* rec);
-  // Everything after the format check and clock sample: expiry,
-  // blocklist, HVF comparison, dupsup, OFD, cursor advance. The ONE
-  // definition of those predicates — the scalar classify() and the
-  // batched pipeline both end here, which is what makes the
-  // differential harness's parity guarantee structural rather than
-  // coincidental. `expected_hvf` is a lazy provider: the scalar path
-  // computes the MAC only if the packet survives the cheap checks; the
-  // batched path returns a precomputed value.
-  template <bool kRecording, typename HvfFn>
-  Verdict finalize(FastPacket& pkt, TimeNs now, HvfFn&& expected_hvf,
+  Verdict finalize(FastPacket& pkt, TimeNs now, const proto::Hvf& expected,
                    telemetry::FlightRecord* rec);
   // Multi-lane expected-HVF computation for a batch (Eqs. 3/4/6 with
   // the AES states of all packets kept in flight).
   void batch_expected_hvfs(const FastPacket* pkts, std::size_t n,
                            const bool* fmt_ok, proto::Hvf* expected) const;
-  Verdict process_recorded(FastPacket& pkt);
-  // process() minus the profiler wrapper (the common fast path).
-  Verdict process_impl(FastPacket& pkt);
 
   AsId local_as_;
   crypto::Aes128 hop_cipher_;  // K_i schedule, expanded once
@@ -172,12 +149,9 @@ class BorderRouter : public telemetry::MetricsSource {
   DuplicateSuppression* dupsup_ = nullptr;
   OverUseFlowDetector* ofd_ = nullptr;
   telemetry::FlightRecorder* recorder_ = nullptr;
-  std::uint32_t sample_every_ = 0;
-  std::uint32_t sample_countdown_ = 0;
   std::array<telemetry::Counter, kNumVerdicts> verdicts_;
-  telemetry::Histogram validate_latency_ns_;
   telemetry::StageProfiler profiler_{"header_sanity", "prefetch", "hvf_crypto",
-                                     "finalize", "scalar"};
+                                     "finalize"};
   telemetry::ScopedSource registration_;
 };
 

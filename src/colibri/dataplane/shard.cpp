@@ -168,10 +168,10 @@ bool ShardedGatewayRuntime::submit(ResId id, std::uint32_t payload_bytes) {
   const std::uint64_t submitted =
       ps.submitted.load(std::memory_order_relaxed) + 1;
   ps.submitted.store(submitted, std::memory_order_release);
-  // Ring depth as the producer sees it; the worker only shrinks it, so
-  // this never under-reports the true high watermark.
-  const std::uint64_t depth =
-      submitted - ps.processed.load(std::memory_order_acquire);
+  // Ring occupancy right after the push. Not submitted - processed:
+  // that also counts the burst a worker has popped but not yet
+  // finished, so it can exceed the ring's capacity.
+  const std::uint64_t depth = ps.ring.size();
   if (depth > ps.high_watermark.load(std::memory_order_relaxed)) {
     ps.high_watermark.store(depth, std::memory_order_relaxed);
   }

@@ -115,8 +115,9 @@ struct ShardRequest {
 // lives in the per-shard gateway counters plus the worker stats here.
 //
 // Health surface: every shard continuously publishes its ring depth
-// (submitted - processed), the deepest the ring has ever been
-// (high_watermark), how many submissions bounced off a full ring
+// (submitted - processed, so a worker's in-flight burst included), the
+// most requests the ring itself has ever held (high_watermark, at most
+// its capacity), how many submissions bounced off a full ring
 // (rejected), and a worker heartbeat that advances every loop
 // iteration — idle spins included — so a monitor can tell "queue is
 // deep but draining" from "worker is stuck". All of it is exported as
@@ -139,7 +140,7 @@ class ShardedGatewayRuntime : public telemetry::MetricsSource {
     std::uint64_t rejected = 0;        // submissions refused: ring full
     std::uint64_t heartbeats = 0;      // worker loop iterations
     std::uint64_t ring_depth = 0;      // submitted - processed
-    std::uint64_t high_watermark = 0;  // max ring_depth ever observed
+    std::uint64_t high_watermark = 0;  // max ring occupancy at a submit
   };
 
   // The runtime registers with `registry` (nullptr = none, the default

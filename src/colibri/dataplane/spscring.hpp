@@ -32,6 +32,14 @@ class SpscRing {
 
   std::size_t capacity() const { return buf_.size(); }
 
+  // Queued elements as the producer sees them: exact up to pops it has
+  // not observed yet, so it never under-reports and never exceeds
+  // capacity(). Call from the producer thread.
+  std::size_t size() const {
+    return tail_.load(std::memory_order_relaxed) -
+           head_.load(std::memory_order_acquire);
+  }
+
   bool empty() const {
     return head_.load(std::memory_order_acquire) ==
            tail_.load(std::memory_order_acquire);

@@ -202,8 +202,8 @@ PhaseResult ProtectionScenario::run_phase(const std::vector<FlowSpec>& flows) {
         kGbps;
     result.flows.push_back(std::move(fr));
   }
-  result.router_bad_hvf = dst_br.stats().bad_hvf;
-  result.router_overuse_dropped = dst_br.stats().overuse_dropped;
+  result.router_bad_hvf = dst_br.snapshot().bad_hvf;
+  result.router_overuse_dropped = dst_br.snapshot().overuse_dropped;
   return result;
 }
 

@@ -108,6 +108,17 @@ class FlightRecorder {
 
   bool record_drops() const { return record_drops_; }
 
+  // Commits `r` when the sampler kept the packet or it is a drop under
+  // record-on-drop mode, stamping the decision fields first.
+  void offer(FlightRecord& r, bool sampled, bool is_drop, std::uint8_t verdict,
+             std::uint8_t errc) {
+    if (!sampled && !(is_drop && record_drops_)) return;
+    r.verdict = verdict;
+    r.errc = errc;
+    r.forced_by_drop = !sampled;
+    commit(r);
+  }
+
   // Copies `r` into the ring (overwriting the oldest record when full)
   // and assigns its commit sequence number. No allocation.
   void commit(const FlightRecord& r) {

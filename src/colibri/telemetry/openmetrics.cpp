@@ -32,7 +32,6 @@ constexpr HelpEntry kHelp[] = {
     {"router.drop.", "Packets dropped by the border router, by reason"},
     {"router.forwarded", "Packets validated and forwarded to the next AS"},
     {"router.delivered", "Packets validated and delivered at the last hop"},
-    {"router.validate_latency_ns", "Sampled wall-clock validation latency, nanoseconds"},
     {"gateway.stage.", "Wall time this gateway pipeline stage spent per batch chunk, nanoseconds"},
     {"gateway.batch_occupancy", "Packets per processed gateway batch chunk"},
     {"gateway.drop.", "Host packets refused by the gateway, by reason"},

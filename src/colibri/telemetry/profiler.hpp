@@ -11,8 +11,7 @@
 //
 // Cost model, in line with the rest of the telemetry layer:
 //  * disabled (the default): the owning component checks `enabled()`
-//    once per batch (scalar paths: once per packet) — one predictable
-//    branch, no clock reads, no stores;
+//    once per batch — one predictable branch, no clock reads, no stores;
 //  * enabled: one steady-clock read per stage boundary plus one
 //    histogram record — a handful of relaxed stores, no locks, no
 //    allocation. Like the counters, a profiler is single-writer (one
@@ -70,10 +69,6 @@ class StageProfiler {
     const std::int64_t t1 = profiler_now_ns();
     record(stage, t0, t1);
     return t1;
-  }
-  // One-shot record for scalar paths: [t0, now).
-  void finish(std::size_t stage, std::int64_t t0) {
-    record(stage, t0, profiler_now_ns());
   }
   void record(std::size_t stage, std::int64_t t0, std::int64_t t1);
 

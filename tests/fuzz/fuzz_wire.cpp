@@ -13,9 +13,11 @@
 //      count fits a FastPacket;
 //   4. the FastPacket round trip preserves every header field
 //      forwarding reads;
-//   5. the scalar and batched router paths return the same verdict and
-//      cursor position for the decoded packet — parity must hold for
-//      arbitrary adversarial input, not just well-formed streams;
+//   5. the router pipeline (process_batch on the ingested batch) and the
+//      per-packet reference router of tests/support return the same
+//      verdict and cursor position for the decoded packet — parity must
+//      hold for arbitrary adversarial input, not just well-formed
+//      streams;
 //   6. the trace-context block is control-plane only: stripping it from
 //      an accepted frame yields another accepted frame that is exactly
 //      kTraceContextLen shorter, and both frames produce the identical
@@ -29,6 +31,7 @@
 #include "colibri/dataplane/batch.hpp"
 #include "colibri/dataplane/router.hpp"
 #include "colibri/proto/codec.hpp"
+#include "support/reference_dataplane.hpp"
 
 namespace {
 
@@ -105,25 +108,26 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
             back,
         "trace context leaked into the data-plane view");
 
-  // Verdict parity on adversarial input: hookless twin routers with a
-  // frozen clock (persistent across inputs; only their counters grow).
+  // Verdict parity on adversarial input: hookless pipeline and reference
+  // routers with a frozen clock (persistent across inputs; only their
+  // counters grow).
   static colibri::SimClock clock(100 * colibri::kNsPerSec);
   static const colibri::drkey::Key128 key = [] {
     colibri::drkey::Key128 k;
     k.bytes.fill(7);
     return k;
   }();
-  static colibri::dataplane::BorderRouter scalar(colibri::AsId{1, 2}, key,
-                                                 clock, nullptr);
-  static colibri::dataplane::BorderRouter batched(colibri::AsId{1, 2}, key,
-                                                  clock, nullptr);
+  static colibri::dataplane::reference::ReferenceRouter oracle(
+      colibri::AsId{1, 2}, key, clock);
+  static colibri::dataplane::BorderRouter pipeline(colibri::AsId{1, 2}, key,
+                                                   clock, nullptr);
 
-  colibri::dataplane::FastPacket scalar_pkt = fp;
-  const auto vs = scalar.process(scalar_pkt);
-  colibri::dataplane::BorderRouter::Verdict vb;
-  batched.process_batch(batch, &vb);
-  check(vs == vb, "scalar/batched router verdict divergence");
-  check(scalar_pkt.current_hop == batch[0].current_hop,
-        "scalar/batched cursor divergence");
+  colibri::dataplane::FastPacket oracle_pkt = fp;
+  const auto vr = oracle.process(oracle_pkt);
+  colibri::dataplane::BorderRouter::Verdict vp;
+  pipeline.process_batch(batch, &vp);
+  check(vr == vp, "reference/pipeline router verdict divergence");
+  check(oracle_pkt.current_hop == batch[0].current_hop,
+        "reference/pipeline cursor divergence");
   return 0;
 }

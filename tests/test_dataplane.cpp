@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "colibri/common/rand.hpp"
+#include "colibri/dataplane/batch.hpp"
 #include "colibri/dataplane/blocklist.hpp"
 #include "colibri/dataplane/dupsup.hpp"
 #include "colibri/dataplane/gateway.hpp"
@@ -347,14 +348,14 @@ class DataPathTest : public ::testing::Test {
   void install() {
     // σ_i computed by each on-path AS from its own key (Eq. 4) — here
     // built directly, standing in for the control-plane exchange.
-    std::vector<HopAuth> sigmas;
+    sigmas_.clear();
     const drkey::Key128 keys[] = {key_of(1), key_of(2), key_of(3)};
     for (size_t i = 0; i < path_.size(); ++i) {
       crypto::Aes128 cipher(keys[i].bytes.data());
-      sigmas.push_back(compute_hopauth(cipher, resinfo_, eerinfo_,
-                                       path_[i].ingress, path_[i].egress));
+      sigmas_.push_back(compute_hopauth(cipher, resinfo_, eerinfo_,
+                                        path_[i].ingress, path_[i].egress));
     }
-    ASSERT_TRUE(gateway_.install(resinfo_, eerinfo_, path_, sigmas));
+    ASSERT_TRUE(gateway_.install(resinfo_, eerinfo_, path_, sigmas_));
   }
 
   SimClock clock_;
@@ -365,6 +366,7 @@ class DataPathTest : public ::testing::Test {
   proto::ResInfo resinfo_;
   proto::EerInfo eerinfo_;
   std::vector<topology::Hop> path_;
+  std::vector<HopAuth> sigmas_;
 };
 
 TEST_F(DataPathTest, PacketTraversesAllRouters) {
@@ -376,7 +378,7 @@ TEST_F(DataPathTest, PacketTraversesAllRouters) {
   EXPECT_EQ(router_mid_.process(pkt), BorderRouter::Verdict::kForward);
   EXPECT_EQ(pkt.current_hop, 2);
   EXPECT_EQ(router_dst_.process(pkt), BorderRouter::Verdict::kDeliver);
-  EXPECT_EQ(router_dst_.stats().delivered, 1u);
+  EXPECT_EQ(router_dst_.snapshot().delivered, 1u);
 }
 
 TEST_F(DataPathTest, UnknownReservationRejectedAtGateway) {
@@ -446,7 +448,7 @@ TEST_F(DataPathTest, GatewayRateLimitsOveruse) {
   }
   EXPECT_GT(limited, 0);
   EXPECT_GT(ok, 0);
-  EXPECT_EQ(gateway_.stats().rate_limited, static_cast<std::uint64_t>(limited));
+  EXPECT_EQ(gateway_.snapshot().rate_limited, static_cast<std::uint64_t>(limited));
 }
 
 TEST_F(DataPathTest, MalformedPacketsRejected) {
@@ -504,6 +506,8 @@ TEST_F(DataPathTest, SegRControlPacketValidated) {
 }
 
 TEST_F(DataPathTest, BurstProcessingMatchesSingle) {
+  // One 32-packet batch through each element against the same packets
+  // one process() call at a time, on a second identical path.
   constexpr size_t kBurst = 32;
   ResId ids[kBurst];
   std::uint32_t sizes[kBurst];
@@ -511,16 +515,37 @@ TEST_F(DataPathTest, BurstProcessingMatchesSingle) {
   Gateway::Verdict verdicts[kBurst];
   for (size_t i = 0; i < kBurst; ++i) {
     ids[i] = 42;
-    sizes[i] = 100;
+    sizes[i] = 100 + static_cast<std::uint32_t>(i);
   }
-  const size_t ok = gateway_.process_burst(ids, sizes, kBurst, pkts, verdicts);
+  const size_t ok = gateway_.process_batch(ids, sizes, kBurst, pkts, verdicts);
   EXPECT_EQ(ok, kBurst);
 
-  BorderRouter::Verdict rv[kBurst];
-  router_src_.process_burst(pkts, kBurst, rv);
+  // The clock is frozen, so the single-call gateway stamps the same
+  // timestamps and HVFs.
+  Gateway single_gw(kSrcAs, clock_);
+  ASSERT_TRUE(single_gw.install(resinfo_, eerinfo_, path_, sigmas_));
+  BorderRouter single_router(kSrcAs, key_of(1), clock_);
+
+  PacketBatch batch;
+  for (size_t i = 0; i < kBurst; ++i) {
+    FastPacket single;
+    ASSERT_EQ(single_gw.process(ids[i], sizes[i], single),
+              Gateway::Verdict::kOk);
+    for (std::uint8_t h = 0; h < single.num_hops; ++h) {
+      EXPECT_EQ(single.hvfs[h], pkts[i].hvfs[h]) << i;
+    }
+    ASSERT_TRUE(batch.push(pkts[i]));
+    pkts[i] = single;
+  }
+  BorderRouter::Verdict rv[PacketBatch::kCapacity];
+  router_src_.process_batch(batch, rv);
   for (size_t i = 0; i < kBurst; ++i) {
     EXPECT_EQ(rv[i], BorderRouter::Verdict::kForward) << i;
+    EXPECT_EQ(single_router.process(pkts[i]), rv[i]) << i;
+    EXPECT_EQ(pkts[i].current_hop, batch[i].current_hop) << i;
   }
+  EXPECT_EQ(router_src_.snapshot().forwarded,
+            single_router.snapshot().forwarded);
 }
 
 TEST_F(DataPathTest, FastPacketConversionRoundTrip) {

@@ -65,8 +65,8 @@ TEST_F(IntegrationTest, TelemetrySnapshotCoversControlAndDataPlane) {
   auto& reg = telemetry::MetricsRegistry::global();
 
   const AsId src{1, 112}, dst{2, 221};
-  // Sample every packet's validation latency at the first-hop router.
-  bed_.router(src).set_latency_sampling(1);
+  // Time every validation at the first-hop router, stage by stage.
+  bed_.router(src).profiler().set_enabled(true);
 
   auto session = bed_.daemon(src).open_session(
       dst, HostAddr::from_u64(0xA), HostAddr::from_u64(0xB), 1000, 100'000);
@@ -82,7 +82,7 @@ TEST_F(IntegrationTest, TelemetrySnapshotCoversControlAndDataPlane) {
     }
     clock_.advance(1'000'000);
   }
-  bed_.router(src).set_latency_sampling(0);
+  bed_.router(src).profiler().set_enabled(false);
 
   const auto snap = reg.snapshot();
   // Data plane: router verdicts (forwarded across all on-path routers)
@@ -97,13 +97,19 @@ TEST_F(IntegrationTest, TelemetrySnapshotCoversControlAndDataPlane) {
   EXPECT_GT(snap.counters.at("cserv.eer_granted"), 0u);
   // Latency histograms populated on both planes.
   EXPECT_GT(snap.histograms.at("cserv.request_latency_ns").count, 0u);
-  EXPECT_GE(snap.histograms.at("router.validate_latency_ns").count, 20u);
+  // Each process() call is a batch of one through the staged pipeline.
+  for (const char* stage : {"router.stage.header_sanity_ns",
+                            "router.stage.hvf_crypto_ns",
+                            "router.stage.finalize_ns",
+                            "router.batch_occupancy"}) {
+    EXPECT_GE(snap.histograms.at(stage).count, 20u) << stage;
+  }
   EXPECT_GT(snap.histograms.at("bus.hop_latency_ns").count, 0u);
 
   // The JSON export carries the same names.
   const std::string json = reg.to_json();
   for (const char* needle :
-       {"router.forwarded", "cserv.seg_granted", "router.validate_latency_ns",
+       {"router.forwarded", "cserv.seg_granted", "router.stage.finalize_ns",
         "\"p99\""}) {
     EXPECT_NE(json.find(needle), std::string::npos) << needle;
   }

@@ -2,6 +2,9 @@
 // the SegR registry/whitelists, and the message bus.
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <random>
+
 #include "colibri/cserv/bus.hpp"
 #include "colibri/cserv/ratelimit.hpp"
 #include "colibri/cserv/registry.hpp"
@@ -53,6 +56,62 @@ TEST(ControlRateLimiterTest, SeparatesRequestAndRenewalBudgets) {
   EXPECT_TRUE(limiter.allow_renewal(key, 0));
   EXPECT_FALSE(limiter.allow_renewal(key, 0));  // renewal budget spent
   EXPECT_TRUE(limiter.allow_request(as, 0));    // request budget separate
+}
+
+TEST(ControlRateLimiterTest, ExpirySweepChangesNoVerdict) {
+  // Twin limiters see one seeded stream; only one is swept. The key
+  // space drifts over time, so old sources and reservations go idle and
+  // the sweep has entries to drop.
+  RateLimitConfig cfg;
+  cfg.per_as_requests_per_sec = 5;
+  cfg.per_as_burst = 3;
+  cfg.renewals_per_reservation_per_sec = 1;
+  cfg.renewal_burst = 2;
+  ControlRateLimiter swept(cfg);
+  ControlRateLimiter kept(cfg);
+  std::mt19937 rng(11);
+  TimeNs now = 0;
+  size_t allowed = 0, refused = 0;
+  for (std::uint32_t i = 0; i < 20'000; ++i) {
+    now += static_cast<TimeNs>(rng() % 50) * kNsPerSec / 1000;
+    const AsId as{1, 1 + i / 2'000 + rng() % 4};
+    const ResKey key{as, static_cast<ResId>(1 + rng() % 4)};
+    bool a, b;
+    if (rng() % 2 == 0) {
+      a = swept.allow_request(as, now);
+      b = kept.allow_request(as, now);
+    } else {
+      a = swept.allow_renewal(key, now);
+      b = kept.allow_renewal(key, now);
+    }
+    ASSERT_EQ(a, b) << "request " << i;
+    (a ? allowed : refused) += 1;
+    if (i % 7 == 0) swept.expire(now);
+  }
+  // Both verdicts occurred, and the sweep kept the maps smaller.
+  EXPECT_GT(allowed, 0u);
+  EXPECT_GT(refused, 0u);
+  EXPECT_LT(swept.tracked(), kept.tracked());
+
+  // After an idle period every budget has refilled: nothing is tracked.
+  now += 10 * kNsPerSec;
+  swept.expire(now);
+  EXPECT_EQ(swept.tracked(), 0u);
+}
+
+TEST(RequestLimiterTest, ExpireKeepsEntriesShortOfAFullBurst) {
+  RequestLimiter limiter(/*rate_per_sec=*/1.0, /*burst=*/3.0);
+  EXPECT_EQ(limiter.refill_ns(), 3 * kNsPerSec);
+  ASSERT_TRUE(limiter.allow(1, 0));
+  ASSERT_TRUE(limiter.allow(1, 0));
+  ASSERT_TRUE(limiter.allow(1, 0));
+  // Idle past the 1 s threshold but refilled to only 2 of 3 tokens.
+  limiter.expire(2 * kNsPerSec, kNsPerSec);
+  EXPECT_EQ(limiter.tracked(), 1u);
+  limiter.expire(3 * kNsPerSec + 1, limiter.refill_ns());
+  EXPECT_EQ(limiter.tracked(), 0u);
+  EXPECT_EQ(RequestLimiter(0.0, 1.0).refill_ns(),
+            std::numeric_limits<TimeNs>::max());
 }
 
 SegrAdvert advert(AsId first, AsId last, ResId id, UnixSec exp = 1000,

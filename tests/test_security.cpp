@@ -47,7 +47,7 @@ TEST_F(SecurityTest, BogusColibriPacketsDropped) {
                 dataplane::BorderRouter::Verdict::kForward;
   }
   EXPECT_EQ(accepted, 0);
-  EXPECT_EQ(router.stats().bad_hvf, 20'000u);
+  EXPECT_EQ(router.snapshot().bad_hvf, 20'000u);
 }
 
 // §5.1 framing (i): source-AS spoofing. A malicious AS stamps packets
