@@ -27,11 +27,15 @@
 # forged packets dropped at the predicted hop, replays dropped, valid
 # packets delivered, all through the one router and gateway pipeline.
 #
+# Every preset (tsan included) replays the JSON reader fuzz corpus
+# right after its build: the telemetry exports' one strict reader.
+#
 # The default preset additionally smoke-tests the colibri_obs tool end
 # to end: run the demo scenario, dump every artifact, export a Perfetto
 # trace, query the sharded-runtime health surface, drive the failover
 # scenario through the watch dashboard, and run the fleet-federation
-# scenario through both the fleet table and the watch fleet line.
+# scenario through both the fleet table and the watch fleet line. Every
+# JSON artifact it writes is also parsed with Python's json module.
 #
 # The opt-in bench-gate lane (not part of the default preset list —
 # benchmark numbers are machine-sensitive, so it only runs when asked
@@ -87,6 +91,8 @@ for preset in "${PRESETS[@]}"; do
   cmake --preset "$preset"
   echo "=== [$preset] build"
   cmake --build --preset "$preset" -j "$JOBS"
+  echo "=== [$preset] JSON reader fuzz corpus replay"
+  ctest --preset "$preset" -R '^fuzz_json_corpus_replay$'
   if [ "$preset" = tsan ]; then
     echo "=== [$preset] concurrency race gate (telemetry + sharded runtime + control plane)"
     ctest --preset "$preset" -R "$TSAN_SUITES"
@@ -120,10 +126,19 @@ for preset in "${PRESETS[@]}"; do
     # sed reads the whole dump; head would close the pipe early and
     # kill the writer with SIGPIPE under pipefail.
     "$OBS" --dump=events | sed -n 1p | grep -q '"name"'
+    # Every JSON artifact must parse with an independent parser: whole
+    # documents (metrics snapshot, Perfetto trace, incident bundles) and
+    # one document per line (event and flight-record streams).
+    json_docs='import json,sys; [json.load(open(p)) for p in sys.argv[1:]]'
+    json_lines='import json,sys; ls=sys.stdin.read().splitlines(); assert ls; [json.loads(l) for l in ls]'
+    "$OBS" --dump=metrics | python3 -c 'import json,sys; json.load(sys.stdin)'
+    "$OBS" --dump=events | python3 -c "$json_lines"
+    "$OBS" --dump=records | python3 -c "$json_lines"
     "$OBS" --query=router.forwarded > /dev/null
     trace_out=$(mktemp /tmp/colibri_trace.XXXXXX.json)
     "$OBS" trace --perfetto "$trace_out" | grep -q 'trace events'
     grep -q '"traceEvents"' "$trace_out"
+    python3 -c "$json_docs" "$trace_out"
     rm -f "$trace_out"
     "$OBS" health | grep -q 'stall detector'
     "$OBS" watch --once | grep -q 'alerts:'
@@ -142,6 +157,7 @@ for preset in "${PRESETS[@]}"; do
       | grep -q 'cserv.failover-active'
     "$OBS" incident show --dir="$forensics_dir" \
       | grep -q '"schema": "colibri.incident.v1"'
+    python3 -c "$json_docs" "$forensics_dir"/incidents/incident-*.json
     "$OBS" history query --series=gateway.forwarded --dir="$forensics_dir" \
       > /dev/null
     "$OBS" history rate --series=router.forwarded --dir="$forensics_dir" \

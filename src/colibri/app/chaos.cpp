@@ -15,6 +15,7 @@
 #include "colibri/telemetry/events.hpp"
 #include "colibri/telemetry/history.hpp"
 #include "colibri/telemetry/incident.hpp"
+#include "colibri/telemetry/json.hpp"
 #include "colibri/telemetry/timeseries.hpp"
 
 namespace colibri::app {
@@ -134,29 +135,16 @@ std::string universe_digest(Testbed& bed, UnixSec now) {
   return out;
 }
 
-// Canonical transition history: every event minus the process-global seq
-// (the only field that differs between bit-identical reruns).
+// Canonical transition history: every event as a JSON line without the
+// process-global seq (the only field that differs between bit-identical
+// reruns), the same form incident bundles embed.
 std::string canonical_history(const std::vector<telemetry::Event>& events) {
-  std::string out;
+  telemetry::JsonWriter w;
   for (const auto& ev : events) {
-    out += std::to_string(ev.time_ns) + ' ' + ev.component + '.' + ev.name;
-    for (const auto& f : ev.fields) {
-      out += ' ' + f.key + '=';
-      switch (f.kind) {
-        case telemetry::EventField::Kind::kU64:
-          out += std::to_string(f.u);
-          break;
-        case telemetry::EventField::Kind::kI64:
-          out += std::to_string(f.i);
-          break;
-        case telemetry::EventField::Kind::kStr:
-          out += f.s;
-          break;
-      }
-    }
-    out += '\n';
+    ev.write_json(w, /*with_seq=*/false);
+    w.layout("\n");
   }
-  return out;
+  return w.take();
 }
 
 }  // namespace

@@ -78,7 +78,8 @@ struct ChaosOptions {
 
 // Outcome of one universe run. `digest` is the structural end-state used
 // for twin comparison; `history` is the canonical event-log transition
-// history (seq numbers excluded) used for same-seed reproducibility.
+// history (JSON lines, seq numbers excluded) used for same-seed
+// reproducibility.
 struct ChaosReport {
   std::uint64_t seed = 0;
   bool faulted = false;

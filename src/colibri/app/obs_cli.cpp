@@ -32,17 +32,6 @@ TimeNs parse_time_ns(const char* v) {
   return static_cast<TimeNs>(x);
 }
 
-bool read_text_file(const std::string& path, std::string& out) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return false;
-  char buf[4096];
-  size_t n;
-  out.clear();
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) out.append(buf, n);
-  std::fclose(f);
-  return true;
-}
-
 // --- offline forensics: colibri_obs incident ... ---------------------------
 // Reads bundles a (possibly dead) process left under
 // `<--dir>/incidents/`; never runs a scenario.
@@ -111,15 +100,10 @@ int run_incident_cli(const char* prog, int argc, const char* const* argv,
     const telemetry::IncidentFileInfo* info =
         id_s.empty() ? &infos.back() : find_by_id(id_s);
     if (info == nullptr) return 1;
-    std::string body;
-    if (!read_text_file(info->path, body)) {
-      std::fprintf(stderr, "cannot read %s\n", info->path.c_str());
-      return 1;
-    }
     std::printf("# incident %06llu  t=%.3fs  rule=%s\n",
                 static_cast<unsigned long long>(info->id),
                 static_cast<double>(info->time_ns) / 1e9, info->rule.c_str());
-    std::fputs(body.c_str(), stdout);
+    std::fputs(info->json.c_str(), stdout);
     return 0;
   }
 
@@ -131,12 +115,7 @@ int run_incident_cli(const char* prog, int argc, const char* const* argv,
     const telemetry::IncidentFileInfo* ia = find_by_id(a_s);
     const telemetry::IncidentFileInfo* ib = find_by_id(b_s);
     if (ia == nullptr || ib == nullptr) return 1;
-    std::string ba, bb;
-    if (!read_text_file(ia->path, ba) || !read_text_file(ib->path, bb)) {
-      std::fprintf(stderr, "cannot read bundle files\n");
-      return 1;
-    }
-    const std::string d = telemetry::diff_incident_bundles(ba, bb);
+    const std::string d = telemetry::diff_incident_bundles(ia->json, ib->json);
     if (d.empty()) {
       std::printf("incidents %s and %s are identical\n", a_s.c_str(),
                   b_s.c_str());

@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "colibri/common/clock.hpp"
+#include "colibri/telemetry/json.hpp"
 
 namespace colibri::telemetry {
 
@@ -44,6 +45,8 @@ struct EventField {
   std::uint64_t u = 0;
   std::int64_t i = 0;
   std::string s;
+
+  bool operator==(const EventField&) const = default;
 };
 
 struct Event {
@@ -62,8 +65,14 @@ struct Event {
   // {"time_ns":..,"seq":..,"severity":"info","component":"cserv",
   //  "name":"..","fields":{"k":v,...}}
   std::string to_json() const;
-  // Parses exactly the subset to_json() emits (schema round-trip).
+  // The same object into `w`; incident bundles leave out the
+  // process-global seq so same-seed runs stay byte-identical.
+  void write_json(JsonWriter& w, bool with_seq = true) const;
+  // Parses one to_json() line: keys in the order written, integers over
+  // their full range, nothing after the closing brace.
   static std::optional<Event> from_json(std::string_view line);
+
+  bool operator==(const Event&) const = default;
 
   // Field lookup helpers (nullptr / nullopt when absent).
   const EventField* field(std::string_view key) const;

@@ -1,76 +1,41 @@
 #include "colibri/telemetry/flight_recorder.hpp"
 
 #include <bit>
-#include <cstdio>
+
+#include "colibri/common/bytes.hpp"
 
 namespace colibri::telemetry {
 
-namespace {
-
-void append_hex(std::string& out, const std::uint8_t* p, std::size_t n) {
-  char buf[4];
-  for (std::size_t i = 0; i < n; ++i) {
-    std::snprintf(buf, sizeof buf, "%02x", p[i]);
-    out += buf;
-  }
+std::string FlightRecord::to_json() const {
+  JsonWriter w;
+  write_json(w);
+  return w.take();
 }
 
-}  // namespace
-
-std::string FlightRecord::to_json() const {
-  std::string out;
-  out.reserve(256);
-  out += "{\"seq\":";
-  out += std::to_string(seq);
-  out += ",\"time_ns\":";
-  out += std::to_string(time_ns);
-  out += ",\"component\":\"";
-  out += component == FlightRecorder::kRouter ? "router" : "gateway";
-  out += "\",\"verdict\":";
-  out += std::to_string(verdict);
-  out += ",\"reason\":\"";
-  out += errc_name(static_cast<Errc>(errc));
-  out += "\",\"forced_by_drop\":";
-  out += forced_by_drop ? "true" : "false";
-  out += ",\"src_as\":";
-  out += std::to_string(src_as);
-  out += ",\"res_id\":";
-  out += std::to_string(res_id);
-  out += ",\"version\":";
-  out += std::to_string(version);
-  out += ",\"hop\":";
-  out += std::to_string(hop);
-  out += ",\"if_in\":";
-  out += std::to_string(if_in);
-  out += ",\"if_eg\":";
-  out += std::to_string(if_eg);
-  out += ",\"timestamp\":";
-  out += std::to_string(timestamp);
-  out += ",\"wire_bytes\":";
-  out += std::to_string(wire_bytes);
-  out += ",\"exp_time\":";
-  out += std::to_string(exp_time);
+void FlightRecord::write_json(JsonWriter& w) const {
+  w.begin_object();
+  w.key("seq").u64(seq).key("time_ns").i64(time_ns);
+  w.key("component")
+      .str(component == FlightRecorder::kRouter ? "router" : "gateway");
+  w.key("verdict").u64(verdict);
+  w.key("reason").str(errc_name(static_cast<Errc>(errc)));
+  w.key("forced_by_drop").boolean(forced_by_drop);
+  w.key("src_as").u64(src_as).key("res_id").u64(res_id);
+  w.key("version").u64(version).key("hop").u64(hop);
+  w.key("if_in").u64(if_in).key("if_eg").u64(if_eg);
+  w.key("timestamp").u64(timestamp).key("wire_bytes").u64(wire_bytes);
+  w.key("exp_time").u64(exp_time);
   if (hvf_checked) {
-    out += ",\"hvf_got\":\"";
-    append_hex(out, hvf_got.data(), hvf_got.size());
-    out += "\",\"hvf_want\":\"";
-    append_hex(out, hvf_want.data(), hvf_want.size());
-    out += '"';
+    w.key("hvf_got").str(to_hex(hvf_got)).key("hvf_want").str(to_hex(hvf_want));
   }
   if (dupsup_verdict != kNotConsulted) {
-    out += ",\"dupsup_verdict\":";
-    out += std::to_string(dupsup_verdict);
+    w.key("dupsup_verdict").u64(dupsup_verdict);
   }
-  if (ofd_verdict != kNotConsulted) {
-    out += ",\"ofd_verdict\":";
-    out += std::to_string(ofd_verdict);
-  }
+  if (ofd_verdict != kNotConsulted) w.key("ofd_verdict").u64(ofd_verdict);
   if (bucket_checked) {
-    out += ",\"bucket_available_bytes\":";
-    out += std::to_string(bucket_available_bytes);
+    w.key("bucket_available_bytes").u64(bucket_available_bytes);
   }
-  out += '}';
-  return out;
+  w.end_object();
 }
 
 FlightRecorder::FlightRecorder(const Config& cfg)
@@ -98,12 +63,12 @@ std::vector<FlightRecord> FlightRecorder::drain() {
 }
 
 std::string FlightRecorder::to_jsonl() const {
-  std::string out;
+  JsonWriter w;
   for (const FlightRecord& r : records()) {
-    out += r.to_json();
-    out += '\n';
+    r.write_json(w);
+    w.layout("\n");
   }
-  return out;
+  return w.take();
 }
 
 }  // namespace colibri::telemetry

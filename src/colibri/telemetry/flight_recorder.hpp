@@ -35,6 +35,7 @@
 #include "colibri/common/clock.hpp"
 #include "colibri/common/errors.hpp"
 #include "colibri/common/ids.hpp"
+#include "colibri/telemetry/json.hpp"
 
 namespace colibri::telemetry {
 
@@ -70,6 +71,7 @@ struct FlightRecord {
   bool bucket_checked = false;
 
   std::string to_json() const;
+  void write_json(JsonWriter& w) const;
 };
 
 class FlightRecorder {

@@ -4,123 +4,37 @@
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <system_error>
+
+#include "colibri/telemetry/json.hpp"
 
 namespace colibri::telemetry {
 namespace {
 
-// One canonical event object: Event::to_json() minus the process-global
-// seq, which is the only field that differs between bit-identical
-// same-seed runs (the chaos harness's canonical history makes the same
-// exclusion). Bundles must be byte-stable to be diffable evidence.
-std::string event_json_no_seq(const Event& ev) {
-  std::string out;
-  out += "{\"time_ns\":";
-  out += std::to_string(ev.time_ns);
-  out += ",\"severity\":\"";
-  out += severity_name(ev.severity);
-  out += "\",\"component\":";
-  append_json_string(out, ev.component);
-  out += ",\"name\":";
-  append_json_string(out, ev.name);
-  out += ",\"fields\":{";
-  bool first = true;
-  for (const EventField& f : ev.fields) {
-    if (!first) out.push_back(',');
-    first = false;
-    append_json_string(out, f.key);
-    out.push_back(':');
-    switch (f.kind) {
-      case EventField::Kind::kU64: out += std::to_string(f.u); break;
-      case EventField::Kind::kI64: out += std::to_string(f.i); break;
-      case EventField::Kind::kStr: append_json_string(out, f.s); break;
-    }
+void write_window(JsonWriter& w, const SampleWindow& win) {
+  w.begin_object().key("start_ns").i64(win.start_ns);
+  w.key("end_ns").i64(win.end_ns).key("counters").begin_object();
+  for (const auto& [name, delta] : win.counter_deltas) w.key(name).u64(delta);
+  w.end_object().key("gauges").begin_object();
+  for (const auto& [name, level] : win.gauges) w.key(name).i64(level);
+  w.end_object().key("histograms").begin_object();
+  for (const auto& [name, h] : win.histogram_deltas) {
+    w.key(name).begin_object().key("count").u64(h.count).key("sum").u64(h.sum);
+    w.key("p50").i64(std::llround(h.percentile(0.50)));
+    w.key("p99").i64(std::llround(h.percentile(0.99))).end_object();
   }
-  out += "}}";
-  return out;
+  w.end_object().end_object();
 }
 
-// JSONL -> JSON array (flight-recorder export reuse).
-std::string jsonl_to_array(const std::string& jsonl) {
-  std::string out = "[";
-  bool first = true;
-  std::size_t start = 0;
-  while (start < jsonl.size()) {
-    std::size_t end = jsonl.find('\n', start);
-    if (end == std::string::npos) end = jsonl.size();
-    if (end > start) {
-      if (!first) out.push_back(',');
-      first = false;
-      out.append(jsonl, start, end - start);
-    }
-    start = end + 1;
-  }
-  out.push_back(']');
-  return out;
-}
-
-std::string window_json(const SampleWindow& w) {
-  std::string out = "{\"start_ns\":";
-  out += std::to_string(w.start_ns);
-  out += ",\"end_ns\":";
-  out += std::to_string(w.end_ns);
-  out += ",\"counters\":{";
-  bool first = true;
-  for (const auto& [name, delta] : w.counter_deltas) {
-    if (!first) out.push_back(',');
-    first = false;
-    append_json_string(out, name);
-    out.push_back(':');
-    out += std::to_string(delta);
-  }
-  out += "},\"gauges\":{";
-  first = true;
-  for (const auto& [name, level] : w.gauges) {
-    if (!first) out.push_back(',');
-    first = false;
-    append_json_string(out, name);
-    out.push_back(':');
-    out += std::to_string(level);
-  }
-  out += "},\"histograms\":{";
-  first = true;
-  for (const auto& [name, h] : w.histogram_deltas) {
-    if (!first) out.push_back(',');
-    first = false;
-    append_json_string(out, name);
-    out += ":{\"count\":";
-    out += std::to_string(h.count);
-    out += ",\"sum\":";
-    out += std::to_string(h.sum);
-    out += ",\"p50\":";
-    out += std::to_string(static_cast<std::int64_t>(std::llround(
-        h.percentile(0.50))));
-    out += ",\"p99\":";
-    out += std::to_string(static_cast<std::int64_t>(std::llround(
-        h.percentile(0.99))));
-    out += '}';
-  }
-  out += "}}";
-  return out;
-}
-
-std::string transition_json(const AlertTransition& t) {
-  std::string out = "{\"edge\":\"";
-  out += t.edge == AlertTransition::Edge::kFiring ? "firing" : "resolved";
-  out += "\",\"time_ns\":";
-  out += std::to_string(t.time_ns);
-  out += ",\"rule\":";
-  append_json_string(out, t.name);
-  out += ",\"series\":";
-  append_json_string(out, t.series);
-  out += ",\"severity\":\"";
-  out += severity_name(t.severity);
-  out += "\",\"value_milli\":";
-  out += std::to_string(std::llround(t.value * 1000.0));
-  out += ",\"for_ns\":";
-  out += std::to_string(t.for_ns);
-  out += '}';
-  return out;
+void write_transition(JsonWriter& w, const AlertTransition& t) {
+  const bool firing = t.edge == AlertTransition::Edge::kFiring;
+  w.begin_object().key("edge").str(firing ? "firing" : "resolved");
+  w.key("time_ns").i64(t.time_ns).key("rule").str(t.name);
+  w.key("series").str(t.series).key("severity").str(severity_name(t.severity));
+  w.key("value_milli").i64(std::llround(t.value * 1000.0));
+  w.key("for_ns").i64(t.for_ns).end_object();
 }
 
 std::string bundle_filename(std::uint64_t id) {
@@ -218,144 +132,96 @@ std::string IncidentRecorder::capture_locked(const AlertTransition& t) {
   // One top-level key per line: `incident diff` compares bundles
   // line-by-line, so a changed section diffs as one line, not as one
   // opaque blob.
-  std::string out = "{\n";
-  out += "\"schema\": \"colibri.incident.v1\",\n";
-  out += "\"id\": " + std::to_string(next_id_ - 1) + ",\n";
-  out += "\"time_ns\": " + std::to_string(t.time_ns) + ",\n";
-  out += "\"trigger\": " + transition_json(t) + ",\n";
+  JsonWriter w;
+  const auto line = [&w](std::string_view key) -> JsonWriter& {
+    return w.layout("\n").key(key).layout(" ");
+  };
+  w.begin_object();
+  line("schema").str("colibri.incident.v1");
+  line("id").u64(next_id_ - 1);
+  line("time_ns").i64(t.time_ns);
+  write_transition(line("trigger"), t);
 
-  out += "\"suppressed\": [";
-  bool first = true;
-  for (const auto& [when, rule] : suppressed_pending_) {
-    if (!first) out.push_back(',');
-    first = false;
-    out += "{\"time_ns\":" + std::to_string(when) + ",\"rule\":";
-    append_json_string(out, rule);
-    out.push_back('}');
+  line("suppressed").begin_array();
+  for (const auto& [at, rule] : suppressed_pending_) {
+    w.begin_object().key("time_ns").i64(at).key("rule").str(rule).end_object();
   }
-  out += "],\n";
+  w.end_array();
 
   // Full rule/SLO state at the edge — the engine dispatches observers
   // without its lock held, so these queries are safe from here.
-  out += "\"alerts\": [";
-  first = true;
+  line("alerts").begin_array();
   for (const AlertStatus& st : engine_->status()) {
-    if (!first) out.push_back(',');
-    first = false;
-    out += "{\"name\":";
-    append_json_string(out, st.name);
-    out += ",\"state\":\"";
-    out += alert_state_name(st.state);
-    out += "\",\"severity\":\"";
-    out += severity_name(st.severity);
-    out += "\",\"value_milli\":";
-    out += std::to_string(std::llround(st.last_value * 1000.0));
-    out += ",\"has_value\":";
-    out += st.has_value ? "true" : "false";
-    out += ",\"since_ns\":";
-    out += std::to_string(st.since_ns);
-    out += ",\"times_fired\":";
-    out += std::to_string(st.times_fired);
-    out.push_back('}');
+    w.begin_object().key("name").str(st.name);
+    w.key("state").str(alert_state_name(st.state));
+    w.key("severity").str(severity_name(st.severity));
+    w.key("value_milli").i64(std::llround(st.last_value * 1000.0));
+    w.key("has_value").boolean(st.has_value).key("since_ns").i64(st.since_ns);
+    w.key("times_fired").u64(st.times_fired).end_object();
   }
-  out += "],\n";
+  w.end_array();
 
-  out += "\"slos\": [";
-  first = true;
+  line("slos").begin_array();
   for (const SloStatus& st : engine_->slo_status()) {
-    if (!first) out.push_back(',');
-    first = false;
-    out += "{\"name\":";
-    append_json_string(out, st.name);
-    out += ",\"state\":\"";
-    out += alert_state_name(st.state);
-    out += "\",\"burn_rate_milli\":";
-    out += std::to_string(std::llround(st.burn_rate * 1000.0));
-    out += ",\"budget_remaining_milli\":";
-    out += std::to_string(std::llround(st.budget_remaining * 1000.0));
-    out += ",\"bad\":";
-    out += std::to_string(st.bad);
-    out += ",\"total\":";
-    out += std::to_string(st.total);
-    out.push_back('}');
+    w.begin_object().key("name").str(st.name);
+    w.key("state").str(alert_state_name(st.state));
+    w.key("burn_rate_milli").i64(std::llround(st.burn_rate * 1000.0));
+    w.key("budget_remaining_milli")
+        .i64(std::llround(st.budget_remaining * 1000.0));
+    w.key("bad").u64(st.bad).key("total").u64(st.total).end_object();
   }
-  out += "],\n";
+  w.end_array();
 
-  out += "\"recent_transitions\": [";
-  first = true;
-  for (const AlertTransition& tr : recent_) {
-    if (!first) out.push_back(',');
-    first = false;
-    out += transition_json(tr);
-  }
-  out += "],\n";
+  line("recent_transitions").begin_array();
+  for (const AlertTransition& tr : recent_) write_transition(w, tr);
+  w.end_array();
 
-  out += "\"events\": [";
+  line("events").begin_array();
   if (events_ != nullptr) {
     const std::vector<Event> evs = events_->events();
     const std::size_t skip =
         evs.size() > cfg_.max_events ? evs.size() - cfg_.max_events : 0;
-    first = true;
     for (std::size_t i = skip; i < evs.size(); ++i) {
-      if (!first) out.push_back(',');
-      first = false;
-      out += event_json_no_seq(evs[i]);
+      evs[i].write_json(w, /*with_seq=*/false);
     }
   }
-  out += "],\n";
+  w.end_array();
 
-  out += "\"windows\": [";
+  line("windows").begin_array();
   if (sampler_ != nullptr) {
-    first = true;
-    for (const SampleWindow& w : sampler_->recent_windows(cfg_.max_windows)) {
-      if (!first) out.push_back(',');
-      first = false;
-      out += window_json(w);
+    for (const SampleWindow& win : sampler_->recent_windows(cfg_.max_windows)) {
+      write_window(w, win);
     }
   }
-  out += "],\n";
+  w.end_array();
 
-  out += "\"flight_records\": {";
-  first = true;
+  line("flight_records").begin_object();
   for (const auto& [name, rec] : recorders_) {
-    if (!first) out.push_back(',');
-    first = false;
-    append_json_string(out, name);
-    out.push_back(':');
-    out += jsonl_to_array(rec->to_jsonl());
+    w.key(name).begin_array();
+    for (const FlightRecord& r : rec->records()) r.write_json(w);
+    w.end_array();
   }
-  out += "},\n";
+  w.end_object();
 
-  out += "\"faults\": ";
+  line("faults");
   if (faults_ != nullptr) {
     const FaultStats fs = faults_->snapshot();
-    out += "{\"msg_delivered\":" + std::to_string(fs.msg_delivered);
-    out += ",\"msg_dropped\":" + std::to_string(fs.msg_dropped);
-    out += ",\"msg_duplicated\":" + std::to_string(fs.msg_duplicated);
-    out += ",\"msg_delayed\":" + std::to_string(fs.msg_delayed);
-    out += ",\"link_drops\":" + std::to_string(fs.link_drops);
-    out += ",\"wal_faults\":" + std::to_string(fs.wal_faults);
-    out.push_back('}');
+    w.begin_object().key("msg_delivered").u64(fs.msg_delivered);
+    w.key("msg_dropped").u64(fs.msg_dropped);
+    w.key("msg_duplicated").u64(fs.msg_duplicated);
+    w.key("msg_delayed").u64(fs.msg_delayed);
+    w.key("link_drops").u64(fs.link_drops).key("wal_faults").u64(fs.wal_faults);
+    w.end_object();
   } else {
-    out += "null";
+    w.null();
   }
-  out += ",\n";
 
-  out += "\"spans\": ";
-  out += spans_ != nullptr ? spans_->trace().to_json() : "null";
-  out += ",\n";
+  line("spans").raw(spans_ != nullptr ? spans_->trace().to_json() : "null");
 
-  out += "\"sections\": {";
-  first = true;
-  for (const auto& [name, provider] : sections_) {
-    if (!first) out.push_back(',');
-    first = false;
-    append_json_string(out, name);
-    out.push_back(':');
-    out += provider();
-  }
-  out += "}\n}\n";
-  return out;
+  line("sections").begin_object();
+  for (const auto& [name, provider] : sections_) w.key(name).raw(provider());
+  w.end_object();
+  return w.layout("\n").end_object().layout("\n").take();
 }
 
 std::size_t IncidentRecorder::bundle_count() const {
@@ -375,48 +241,6 @@ std::uint64_t IncidentRecorder::suppressed_total() const {
 
 // --- offline analysis -------------------------------------------------------
 
-namespace {
-
-// Scrapes `"key": <digits>` or `"key":<digits>` out of bundle text.
-std::uint64_t scrape_u64(const std::string& text, const std::string& key) {
-  const std::string needle = "\"" + key + "\":";
-  const std::size_t at = text.find(needle);
-  if (at == std::string::npos) return 0;
-  std::size_t pos = at + needle.size();
-  while (pos < text.size() && text[pos] == ' ') ++pos;
-  std::uint64_t v = 0;
-  while (pos < text.size() && text[pos] >= '0' && text[pos] <= '9') {
-    v = v * 10 + static_cast<std::uint64_t>(text[pos++] - '0');
-  }
-  return v;
-}
-
-std::string scrape_str(const std::string& text, const std::string& key) {
-  const std::string needle = "\"" + key + "\":";
-  const std::size_t at = text.find(needle);
-  if (at == std::string::npos) return {};
-  std::size_t pos = at + needle.size();
-  while (pos < text.size() && text[pos] == ' ') ++pos;
-  if (pos >= text.size() || text[pos] != '"') return {};
-  ++pos;
-  std::string out;
-  while (pos < text.size() && text[pos] != '"') out.push_back(text[pos++]);
-  return out;
-}
-
-std::string read_file(const std::string& path) {
-  std::string out;
-  if (std::FILE* f = std::fopen(path.c_str(), "rb")) {
-    char buf[4096];
-    std::size_t n;
-    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) out.append(buf, n);
-    std::fclose(f);
-  }
-  return out;
-}
-
-}  // namespace
-
 std::vector<IncidentFileInfo> list_incident_bundles(const std::string& dir) {
   std::vector<IncidentFileInfo> out;
   std::error_code ec;
@@ -427,12 +251,28 @@ std::vector<IncidentFileInfo> list_incident_bundles(const std::string& dir) {
         name.size() < 5 || name.substr(name.size() - 5) != ".json") {
       continue;
     }
-    const std::string text = read_file(entry.path().string());
+    std::ifstream in(entry.path(), std::ios::binary);
+    std::string text(std::istreambuf_iterator<char>(in), {});
+    // The headline keys lead every bundle in a fixed order
+    // (capture_locked); the rest is parsed only to check that the file
+    // is one complete document, ended by the writer's newline.
+    std::string_view doc = text;
+    if (doc.ends_with('\n')) doc.remove_suffix(1);
+    JsonReader r(doc);
     IncidentFileInfo info;
+    r.begin_object();
+    r.key("schema").skip();
+    info.id = r.key("id").u64();
+    info.time_ns = r.key("time_ns").i64();
+    r.key("trigger").begin_object();
+    r.key("edge").skip();
+    r.key("time_ns").skip();
+    info.rule = r.key("rule").str();
+    for (std::string key; r.next_key(key);) r.skip();  // rest of trigger
+    for (std::string key; r.next_key(key);) r.skip();  // rest of bundle
+    if (!r.done()) info = {};
     info.path = entry.path().string();
-    info.id = scrape_u64(text, "id");
-    info.time_ns = static_cast<TimeNs>(scrape_u64(text, "time_ns"));
-    info.rule = scrape_str(text, "rule");
+    info.json = std::move(text);
     out.push_back(std::move(info));
   }
   std::sort(out.begin(), out.end(),

@@ -116,17 +116,19 @@ class IncidentRecorder {
 };
 
 // --- offline analysis (colibri_obs incident list/show/diff) ----------------
-// A bundle file's headline fields, scraped without a JSON parser (the
-// format is ours and line-structured).
+// A bundle file and its headline fields: top-level id and time_ns, and
+// the trigger's rule.
 struct IncidentFileInfo {
   std::string path;
   std::uint64_t id = 0;
   TimeNs time_ns = 0;
   std::string rule;
+  std::string json;  // the whole file
 };
 
 // Bundle files ("incident-*.json") under `dir`, sorted by filename.
-// Missing or empty directories yield an empty list, not an error.
+// Missing or empty directories yield an empty list, not an error; a file
+// that does not parse is listed with id 0, time 0 and an empty rule.
 std::vector<IncidentFileInfo> list_incident_bundles(const std::string& dir);
 
 // Line-by-line structural diff of two bundle texts: "" when equal,

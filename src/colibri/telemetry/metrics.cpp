@@ -1,42 +1,11 @@
 #include "colibri/telemetry/metrics.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <stdexcept>
 
+#include "colibri/telemetry/json.hpp"
+
 namespace colibri::telemetry {
-
-// Minimal JSON string escaping (metric names are plain ASCII in
-// practice, but the exporter must never emit invalid JSON).
-void append_json_string(std::string& out, std::string_view s) {
-  out.push_back('"');
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  out.push_back('"');
-}
-
-namespace {
-
-void append_u64(std::string& out, std::uint64_t v) {
-  out += std::to_string(v);
-}
-
-}  // namespace
 
 std::uint64_t HistogramSnapshot::bucket_upper_bound(std::size_t i) {
   if (i + 1 >= kHistogramBuckets) return ~std::uint64_t{0};
@@ -79,68 +48,34 @@ void Histogram::reset() {
 }
 
 std::string MetricsSnapshot::to_json() const {
-  std::string out;
-  out.reserve(256 + 48 * (counters.size() + gauges.size()) +
-              256 * histograms.size());
-  out += "{\"counters\":{";
-  bool first = true;
-  for (const auto& [name, v] : counters) {
-    if (!first) out.push_back(',');
-    first = false;
-    append_json_string(out, name);
-    out.push_back(':');
-    append_u64(out, v);
-  }
-  out += "},\"gauges\":{";
-  first = true;
-  for (const auto& [name, v] : gauges) {
-    if (!first) out.push_back(',');
-    first = false;
-    append_json_string(out, name);
-    out.push_back(':');
-    out += std::to_string(v);
-  }
-  out += "},\"histograms\":{";
-  first = true;
+  JsonWriter w;
+  w.begin_object().key("counters").begin_object();
+  for (const auto& [name, v] : counters) w.key(name).u64(v);
+  w.end_object().key("gauges").begin_object();
+  for (const auto& [name, v] : gauges) w.key(name).i64(v);
+  w.end_object().key("histograms").begin_object();
   for (const auto& [name, h] : histograms) {
-    if (!first) out.push_back(',');
-    first = false;
-    append_json_string(out, name);
-    out += ":{\"count\":";
-    append_u64(out, h.count);
-    out += ",\"sum\":";
-    append_u64(out, h.sum);
-    out += ",\"p50\":";
-    out += std::to_string(static_cast<std::uint64_t>(h.percentile(0.50)));
-    out += ",\"p99\":";
-    out += std::to_string(static_cast<std::uint64_t>(h.percentile(0.99)));
-    out += ",\"buckets\":[";
-    bool bfirst = true;
+    w.key(name).begin_object();
+    w.key("count").u64(h.count).key("sum").u64(h.sum);
+    w.key("p50").u64(static_cast<std::uint64_t>(h.percentile(0.50)));
+    w.key("p99").u64(static_cast<std::uint64_t>(h.percentile(0.99)));
+    w.key("buckets").begin_array();
     for (std::size_t i = 0; i < h.buckets.size(); ++i) {
       if (h.buckets[i] == 0) continue;  // sparse export
-      if (!bfirst) out.push_back(',');
-      bfirst = false;
-      out.push_back('[');
-      append_u64(out, HistogramSnapshot::bucket_upper_bound(i));
-      out.push_back(',');
-      append_u64(out, h.buckets[i]);
-      out.push_back(']');
+      w.begin_array()
+          .u64(HistogramSnapshot::bucket_upper_bound(i))
+          .u64(h.buckets[i])
+          .end_array();
     }
-    out += "]}";
+    w.end_array().end_object();
   }
-  out += '}';
+  w.end_object();
   if (!collisions.empty()) {
-    out += ",\"collisions\":[";
-    first = true;
-    for (const auto& name : collisions) {
-      if (!first) out.push_back(',');
-      first = false;
-      append_json_string(out, name);
-    }
-    out.push_back(']');
+    w.key("collisions").begin_array();
+    for (const auto& name : collisions) w.str(name);
+    w.end_array();
   }
-  out += '}';
-  return out;
+  return w.end_object().take();
 }
 
 namespace {

@@ -35,10 +35,6 @@
 
 namespace colibri::telemetry {
 
-// Appends `s` as a quoted, escaped JSON string. Shared by the JSON
-// exporters (metrics snapshot, event log, flight recorder).
-void append_json_string(std::string& out, std::string_view s);
-
 class Counter {
  public:
   // Thread-safe increment (RMW).

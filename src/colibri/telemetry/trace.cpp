@@ -2,7 +2,7 @@
 
 #include <utility>
 
-#include "colibri/telemetry/metrics.hpp"
+#include "colibri/telemetry/json.hpp"
 
 namespace colibri::telemetry {
 
@@ -16,41 +16,26 @@ std::int64_t SpanTrace::self_time_ns(std::size_t i) const {
 }
 
 std::string SpanTrace::to_json() const {
-  std::string out = "[";
-  for (std::size_t i = 0; i < spans.size(); ++i) {
-    const Span& s = spans[i];
-    if (i != 0) out.push_back(',');
-    out += "{\"name\":";
-    append_json_string(out, s.name);
-    out += ",\"category\":";
-    append_json_string(out, s.category);
-    out += ",\"id\":" + std::to_string(s.id) +
-           ",\"parent\":" + std::to_string(s.parent) +
-           ",\"depth\":" + std::to_string(s.depth) +
-           ",\"start_ns\":" + std::to_string(s.start_ns) +
-           ",\"duration_ns\":" + std::to_string(s.duration_ns) +
-           ",\"bytes\":" + std::to_string(s.bytes);
-    if (s.truncated) out += ",\"truncated\":true";
+  JsonWriter w;
+  w.begin_array();
+  for (const Span& s : spans) {
+    w.begin_object().key("name").str(s.name).key("category").str(s.category);
+    w.key("id").u64(s.id).key("parent").i64(s.parent);
+    w.key("depth").i64(s.depth).key("start_ns").i64(s.start_ns);
+    w.key("duration_ns").i64(s.duration_ns).key("bytes").u64(s.bytes);
+    if (s.truncated) w.key("truncated").boolean(true);
     if ((s.trace_hi | s.trace_lo) != 0) {
-      out += ",\"trace_hi\":" + std::to_string(s.trace_hi) +
-             ",\"trace_lo\":" + std::to_string(s.trace_lo) +
-             ",\"ctx_span\":" + std::to_string(s.ctx_span) +
-             ",\"ctx_parent\":" + std::to_string(s.ctx_parent);
+      w.key("trace_hi").u64(s.trace_hi).key("trace_lo").u64(s.trace_lo);
+      w.key("ctx_span").u64(s.ctx_span).key("ctx_parent").u64(s.ctx_parent);
     }
     if (!s.args.empty()) {
-      out += ",\"args\":{";
-      for (std::size_t a = 0; a < s.args.size(); ++a) {
-        if (a != 0) out.push_back(',');
-        append_json_string(out, s.args[a].first);
-        out.push_back(':');
-        append_json_string(out, s.args[a].second);
-      }
-      out.push_back('}');
+      w.key("args").begin_object();
+      for (const auto& [k, v] : s.args) w.key(k).str(v);
+      w.end_object();
     }
-    out.push_back('}');
+    w.end_object();
   }
-  out.push_back(']');
-  return out;
+  return w.end_array().take();
 }
 
 std::size_t SpanCollector::open(std::string name, std::int64_t now_ns,

@@ -3,22 +3,41 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "colibri/telemetry/json.hpp"
+
 namespace colibri::telemetry {
 
 namespace {
 
 // Trace-event timestamps are microseconds; keep ns resolution as
 // fractional digits.
-void append_us(std::string& out, std::int64_t ns) {
+std::string micros(std::int64_t ns) {
   char buf[48];
   std::snprintf(buf, sizeof(buf), "%lld.%03lld",
                 static_cast<long long>(ns / 1000),
                 static_cast<long long>(ns % 1000 < 0 ? -(ns % 1000)
                                                      : ns % 1000));
-  out += buf;
+  return buf;
 }
 
 constexpr std::int64_t kSourceGapNs = 50'000;  // 50 us between sources
+
+// An open event object carrying the fields every phase shares.
+JsonWriter event(PerfettoTraceBuilder::Track t, std::string_view name,
+                 std::string_view category, std::int64_t ts_ns) {
+  JsonWriter e;
+  e.begin_object().key("name").str(name);
+  e.key("cat").str(category.empty() ? "colibri" : category);
+  e.key("pid").u64(t.pid).key("tid").u64(t.tid);
+  e.key("ts").raw(micros(ts_ns));
+  return e;
+}
+
+JsonWriter& write_args(JsonWriter& e, const PerfettoTraceBuilder::Args& args) {
+  e.key("args").begin_object();
+  for (const auto& [k, v] : args) e.key(k).str(v);
+  return e.end_object();
+}
 
 }  // namespace
 
@@ -33,96 +52,51 @@ PerfettoTraceBuilder::Track PerfettoTraceBuilder::track(
       pids_.try_emplace(std::string(process),
                         static_cast<std::uint32_t>(pids_.size() + 1));
   const std::uint32_t pid = pit->second;
-  if (fresh_pid) {
-    std::string m = "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":" +
-                    std::to_string(pid) + ",\"args\":{\"name\":";
-    append_json_string(m, process);
-    m += "}}";
-    metadata_.push_back(std::move(m));
-  }
-
   const Track t{pid, static_cast<std::uint32_t>(tracks_.size() + 1)};
-  std::string m = "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":" +
-                  std::to_string(t.pid) +
-                  ",\"tid\":" + std::to_string(t.tid) + ",\"args\":{\"name\":";
-  append_json_string(m, thread);
-  m += "}}";
-  metadata_.push_back(std::move(m));
+  // Metadata events naming the process (once) and the thread.
+  const auto name_event = [&](const char* what, std::string_view name) {
+    JsonWriter m;
+    m.begin_object().key("name").str(what).key("ph").str("M");
+    m.key("pid").u64(pid);
+    if (std::string_view(what) == "thread_name") m.key("tid").u64(t.tid);
+    m.key("args").begin_object().key("name").str(name).end_object();
+    metadata_.push_back(m.end_object().take());
+  };
+  if (fresh_pid) name_event("process_name", process);
+  name_event("thread_name", thread);
   tracks_.emplace(std::move(key), t);
   return t;
-}
-
-void PerfettoTraceBuilder::append_common(std::string& out, Track t,
-                                         std::string_view name,
-                                         std::string_view category,
-                                         std::int64_t ts_ns) {
-  out += "{\"name\":";
-  append_json_string(out, name);
-  out += ",\"cat\":";
-  append_json_string(out, category.empty() ? "colibri" : category);
-  out += ",\"pid\":" + std::to_string(t.pid) +
-         ",\"tid\":" + std::to_string(t.tid) + ",\"ts\":";
-  append_us(out, ts_ns);
-}
-
-void PerfettoTraceBuilder::append_args(std::string& out, const Args& args) {
-  out += ",\"args\":{";
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    if (i != 0) out.push_back(',');
-    append_json_string(out, args[i].first);
-    out.push_back(':');
-    append_json_string(out, args[i].second);
-  }
-  out.push_back('}');
 }
 
 void PerfettoTraceBuilder::add_complete(Track t, std::string_view name,
                                         std::string_view category,
                                         std::int64_t start_ns,
                                         std::int64_t dur_ns, const Args& args) {
-  std::string e;
-  append_common(e, t, name, category, start_ns);
-  e += ",\"ph\":\"X\",\"dur\":";
-  append_us(e, dur_ns < 0 ? 0 : dur_ns);
-  append_args(e, args);
-  e.push_back('}');
-  body_.push_back(std::move(e));
+  JsonWriter e = event(t, name, category, start_ns);
+  e.key("ph").str("X").key("dur").raw(micros(dur_ns < 0 ? 0 : dur_ns));
+  body_.push_back(write_args(e, args).end_object().take());
 }
 
 void PerfettoTraceBuilder::add_instant(Track t, std::string_view name,
                                        std::string_view category,
                                        std::int64_t ts_ns, const Args& args) {
-  std::string e;
-  append_common(e, t, name, category, ts_ns);
-  e += ",\"ph\":\"i\",\"s\":\"t\"";
-  append_args(e, args);
-  e.push_back('}');
-  body_.push_back(std::move(e));
+  JsonWriter e = event(t, name, category, ts_ns);
+  e.key("ph").str("i").key("s").str("t");
+  body_.push_back(write_args(e, args).end_object().take());
 }
 
 void PerfettoTraceBuilder::add_flow_start(Track t, std::uint64_t id,
                                           std::int64_t ts_ns) {
-  std::string e;
-  append_common(e, t, "hop", "trace", ts_ns);
-  e += ",\"ph\":\"s\",\"id\":" + std::to_string(id) + "}";
-  body_.push_back(std::move(e));
-}
-
-void PerfettoTraceBuilder::add_flow_step(Track t, std::uint64_t id,
-                                         std::int64_t ts_ns) {
-  std::string e;
-  append_common(e, t, "hop", "trace", ts_ns);
-  e += ",\"ph\":\"t\",\"id\":" + std::to_string(id) + "}";
-  body_.push_back(std::move(e));
+  JsonWriter e = event(t, "hop", "trace", ts_ns);
+  body_.push_back(e.key("ph").str("s").key("id").u64(id).end_object().take());
 }
 
 void PerfettoTraceBuilder::add_flow_finish(Track t, std::uint64_t id,
                                            std::int64_t ts_ns) {
-  std::string e;
-  append_common(e, t, "hop", "trace", ts_ns);
   // bp:"e" binds to the enclosing slice rather than the next one.
-  e += ",\"ph\":\"f\",\"bp\":\"e\",\"id\":" + std::to_string(id) + "}";
-  body_.push_back(std::move(e));
+  JsonWriter e = event(t, "hop", "trace", ts_ns);
+  e.key("ph").str("f").key("bp").str("e");
+  body_.push_back(e.key("id").u64(id).end_object().take());
 }
 
 std::int64_t PerfettoTraceBuilder::place(std::int64_t src_min_ns,
@@ -242,18 +216,15 @@ void PerfettoTraceBuilder::add_stage_spans(const StageProfiler& profiler,
 }
 
 std::string PerfettoTraceBuilder::to_json() const {
-  std::string out = "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[";
-  bool first = true;
+  // One trace event per line.
+  JsonWriter w;
+  w.begin_object().key("displayTimeUnit").str("ns");
+  w.key("traceEvents").begin_array();
   for (const auto& part : {&metadata_, &body_}) {
-    for (const std::string& e : *part) {
-      if (!first) out.push_back(',');
-      first = false;
-      out.push_back('\n');
-      out += e;
-    }
+    for (const std::string& e : *part) w.layout("\n").raw(e);
   }
-  out += "\n]}\n";
-  return out;
+  w.layout("\n").end_array().end_object().layout("\n");
+  return w.take();
 }
 
 }  // namespace colibri::telemetry

@@ -47,12 +47,11 @@ class PerfettoTraceBuilder {
                     const Args& args = {});
   void add_instant(Track t, std::string_view name, std::string_view category,
                    std::int64_t ts_ns, const Args& args = {});
-  // Flow arrow between tracks (ph:"s" start / ph:"t" step / ph:"f"
-  // finish). Events with the same id/name/cat bind into one arrow chain;
-  // a flow event associates with the enclosing complete event on its
-  // track, so emit these inside the span's [start, start+dur) window.
+  // Flow arrow between tracks (ph:"s" start / ph:"f" finish). Events
+  // with the same id/name/cat bind into one arrow; a flow event
+  // associates with the enclosing complete event on its track, so emit
+  // these inside the span's [start, start+dur) window.
   void add_flow_start(Track t, std::uint64_t id, std::int64_t ts_ns);
-  void add_flow_step(Track t, std::uint64_t id, std::int64_t ts_ns);
   void add_flow_finish(Track t, std::uint64_t id, std::int64_t ts_ns);
 
   // --- source adapters (sequential timeline placement) -----------------
@@ -78,9 +77,6 @@ class PerfettoTraceBuilder {
   std::string to_json() const;
 
  private:
-  void append_common(std::string& out, Track t, std::string_view name,
-                     std::string_view category, std::int64_t ts_ns);
-  static void append_args(std::string& out, const Args& args);
   // Maps a source window onto the export timeline; returns the shift to
   // add to every source timestamp.
   std::int64_t place(std::int64_t src_min_ns, std::int64_t src_max_ns);
@@ -88,7 +84,7 @@ class PerfettoTraceBuilder {
   std::map<std::string, std::uint32_t, std::less<>> pids_;
   std::map<std::string, Track, std::less<>> tracks_;  // "process\0thread"
   std::vector<std::string> metadata_;  // process_name / thread_name events
-  std::vector<std::string> body_;      // X / i events
+  std::vector<std::string> body_;      // X / i / flow events
   std::int64_t cursor_ns_ = 0;
 };
 

@@ -1,4 +1,4 @@
-// Plain-ctest driver for the wire fuzz harness: replays every file under
+// Plain-ctest driver for the fuzz harnesses: replays every file under
 // the given corpus paths through LLVMFuzzerTestOneInput. This keeps the
 // fuzzer's invariants in the regular test suite on toolchains without
 // libFuzzer; crashes found while fuzzing get their reproducers checked

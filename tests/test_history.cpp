@@ -11,6 +11,7 @@
 #include <atomic>
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
 #include <map>
 #include <memory>
 #include <random>
@@ -616,6 +617,60 @@ TEST(IncidentOfflineTest, WrittenBundlesRoundTripThroughTheListing) {
   EXPECT_EQ(infos[0].id, 0u);
   EXPECT_EQ(infos[0].rule, "test.gauge-high");
   EXPECT_EQ(infos[0].time_ns, rec.bundles()[0].time_ns);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(IncidentOfflineTest, ListingUnescapesTheTriggerRule) {
+  const std::string dir =
+      ::testing::TempDir() + "colibri_incident_rule_escape_test";
+  std::filesystem::remove_all(dir);
+
+  IncidentRig rig;
+  AlertRule r;
+  r.name = "a\"b\\c";
+  r.series = "test.other";
+  r.signal = AlertSignal::kGauge;
+  r.cmp = AlertCmp::kAbove;
+  r.threshold = 0;
+  rig.engine.add_rule(r);
+  IncidentRecorder rec(rig.engine);
+  rec.set_directory(dir);
+  auto& g = rig.registry.gauge("test.other");
+  rig.step();
+  rig.step();
+  g.set(1);
+  rig.step();
+  ASSERT_EQ(rec.bundle_count(), 1u);
+
+  const auto infos = telemetry::list_incident_bundles(dir);
+  ASSERT_EQ(infos.size(), 1u);
+  EXPECT_EQ(infos[0].rule, "a\"b\\c");
+  EXPECT_EQ(infos[0].id, 0u);
+  EXPECT_EQ(infos[0].time_ns, rec.bundles()[0].time_ns);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(IncidentOfflineTest, UnparsableBundleListsWithZeroIdAndEmptyRule) {
+  const std::string dir =
+      ::testing::TempDir() + "colibri_incident_unparsable_test";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const auto write = [&](const char* name, const std::string& text) {
+    std::ofstream(std::filesystem::path(dir) / name, std::ios::binary)
+        << text;
+  };
+  write("incident-000001.json", "not json {\"");
+  write("incident-000002.json", "");
+  write("incident-000003.json", "{\n\"schema\": \"colibri.incident.v1\",\n");
+
+  const auto infos = telemetry::list_incident_bundles(dir);
+  ASSERT_EQ(infos.size(), 3u);
+  for (const auto& info : infos) {
+    EXPECT_EQ(info.id, 0u) << info.path;
+    EXPECT_EQ(info.time_ns, 0) << info.path;
+    EXPECT_EQ(info.rule, "") << info.path;
+  }
+  EXPECT_NE(infos[2].path.find("incident-000003.json"), std::string::npos);
   std::filesystem::remove_all(dir);
 }
 

@@ -8,6 +8,7 @@
 
 #include <cctype>
 #include <cmath>
+#include <cstdint>
 #include <initializer_list>
 #include <limits>
 #include <map>
@@ -393,7 +394,8 @@ TEST(EventLogTest, SchemaRoundTripsThroughJson) {
       .u64("res_id", 42)
       .i64("delta", -7)
       .str("reason", "bandwidth-unavailable")
-      .str("quoted", "a \"b\" \\ c");
+      .str("quoted", "a \"b\" \\ c")
+      .u64("max", UINT64_MAX);
 
   const auto events = log.events();
   ASSERT_EQ(events.size(), 1u);
@@ -405,12 +407,13 @@ TEST(EventLogTest, SchemaRoundTripsThroughJson) {
   EXPECT_EQ(parsed->severity, Severity::kWarn);
   EXPECT_EQ(parsed->component, "cserv");
   EXPECT_EQ(parsed->name, "request.denied");
-  ASSERT_EQ(parsed->fields.size(), 4u);
+  ASSERT_EQ(parsed->fields.size(), 5u);
   EXPECT_EQ(parsed->u64("res_id"), 42u);
   ASSERT_NE(parsed->field("delta"), nullptr);
   EXPECT_EQ(parsed->field("delta")->i, -7);
   EXPECT_EQ(parsed->str("reason"), "bandwidth-unavailable");
   EXPECT_EQ(parsed->str("quoted"), "a \"b\" \\ c");
+  EXPECT_EQ(parsed->u64("max"), UINT64_MAX);  // full range, not clamped
   // The round-trip is exact: re-serializing gives the same line.
   EXPECT_EQ(parsed->to_json(), json);
 }
@@ -464,6 +467,18 @@ TEST(EventLogTest, FromJsonRejectsMalformedInputTable) {
       // Unknown severity.
       "{\"time_ns\":1,\"seq\":2,\"severity\":\"loud\",\"component\":\"c\","
       "\"name\":\"n\",\"fields\":{}}",
+      // A missing comma between fields.
+      "{\"time_ns\":1,\"seq\":2,\"severity\":\"warn\",\"component\":\"c\","
+      "\"name\":\"n\",\"fields\":{\"k\":1\"j\":2}}",
+      // Integers outside u64 / i64 are errors, not clamped.
+      "{\"time_ns\":1,\"seq\":2,\"severity\":\"warn\",\"component\":\"c\","
+      "\"name\":\"n\",\"fields\":{\"k\":18446744073709551616}}",
+      "{\"time_ns\":1,\"seq\":2,\"severity\":\"warn\",\"component\":\"c\","
+      "\"name\":\"n\",\"fields\":{\"k\":-9223372036854775809}}",
+      "{\"time_ns\":9223372036854775808,\"seq\":2,\"severity\":\"warn\","
+      "\"component\":\"c\",\"name\":\"n\",\"fields\":{}}",
+      "{\"time_ns\":1,\"seq\":18446744073709551616,\"severity\":\"warn\","
+      "\"component\":\"c\",\"name\":\"n\",\"fields\":{}}",
   };
   for (const std::string& line : cases) {
     EXPECT_FALSE(Event::from_json(line).has_value()) << "accepted: " << line;

@@ -1,15 +1,18 @@
 // Telemetry layer: counter/gauge/histogram semantics, concurrent
-// increments, source aggregation, JSON snapshot round-trip, span
-// tracing, the stage profiler, the Perfetto trace export, and the
-// verdict→Errc mapping used for counter names. Ends with a concurrent
-// stress test meant to run under the TSan preset.
+// increments, source aggregation, JSON snapshot round-trip, the JSON
+// writer and strict reader, span tracing, the stage profiler, the
+// Perfetto trace export, and the verdict→Errc mapping used for counter
+// names. Ends with a concurrent stress test meant to run under the TSan
+// preset.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -19,6 +22,7 @@
 #include "colibri/dataplane/router.hpp"
 #include "colibri/telemetry/events.hpp"
 #include "colibri/telemetry/flight_recorder.hpp"
+#include "colibri/telemetry/json.hpp"
 #include "colibri/telemetry/metrics.hpp"
 #include "colibri/telemetry/openmetrics.hpp"
 #include "colibri/telemetry/profiler.hpp"
@@ -158,24 +162,13 @@ TEST(RegistryTest, SourcesAggregateBySummation) {
   EXPECT_EQ(reg.source_count(), 0u);  // ScopedSource detached both
 }
 
-// Tiny JSON validator: structure only (balanced, quoted keys), enough to
-// catch malformed exporter output without a JSON dependency.
-bool json_is_balanced(const std::string& s) {
-  int depth = 0;
-  bool in_str = false;
-  for (size_t i = 0; i < s.size(); ++i) {
-    const char c = s[i];
-    if (in_str) {
-      if (c == '\\') ++i;
-      else if (c == '"') in_str = false;
-      continue;
-    }
-    if (c == '"') in_str = true;
-    else if (c == '{' || c == '[') ++depth;
-    else if (c == '}' || c == ']') --depth;
-    if (depth < 0) return false;
-  }
-  return depth == 0 && !in_str;
+// Full strict parse through the telemetry JSON reader: exactly one
+// document (plus the one trailing newline the Perfetto export writes).
+bool json_parses(std::string_view s) {
+  if (!s.empty() && s.back() == '\n') s.remove_suffix(1);
+  telemetry::JsonReader r(s);
+  r.skip();
+  return r.done();
 }
 
 TEST(RegistryTest, JsonSnapshotRoundTrip) {
@@ -185,7 +178,7 @@ TEST(RegistryTest, JsonSnapshotRoundTrip) {
   reg.histogram("a.lat_ns").record_shared(100);
   reg.histogram("a.lat_ns").record_shared(200);
   const std::string json = reg.to_json();
-  EXPECT_TRUE(json_is_balanced(json)) << json;
+  EXPECT_TRUE(json_parses(json)) << json;
   EXPECT_NE(json.find("\"a.count\":3"), std::string::npos) << json;
   EXPECT_NE(json.find("\"a.gauge\":-7"), std::string::npos) << json;
   EXPECT_NE(json.find("\"a.lat_ns\""), std::string::npos) << json;
@@ -202,9 +195,158 @@ TEST(RegistryTest, JsonEscapesSpecialCharacters) {
   MetricsRegistry reg;
   reg.counter("weird\"name\\with\nstuff").inc();
   const std::string json = reg.to_json();
-  EXPECT_TRUE(json_is_balanced(json)) << json;
+  EXPECT_TRUE(json_parses(json)) << json;
   EXPECT_NE(json.find("weird\\\"name\\\\with\\nstuff"), std::string::npos)
       << json;
+}
+
+// --- JSON writer / reader ---------------------------------------------------
+
+TEST(JsonWriterTest, PlacesCommasAndLayoutWhitespace) {
+  telemetry::JsonWriter w;
+  w.begin_object().key("a").u64(1).key("b").begin_array();
+  w.i64(-2).boolean(true).null().str("x").raw("1.5");
+  w.begin_object().end_object().end_array();
+  w.layout("\n").key("c").layout(" ").begin_object().key("d").u64(0);
+  w.end_object().layout("\n").end_object().layout("\n");
+  EXPECT_EQ(w.take(),
+            "{\"a\":1,\"b\":[-2,true,null,\"x\",1.5,{}],\n"
+            "\"c\": {\"d\":0}\n}\n");
+
+  // Top-level values follow each other without separators (JSON lines).
+  telemetry::JsonWriter lines;
+  for (int i = 0; i < 2; ++i) {
+    lines.begin_array().u64(static_cast<std::uint64_t>(i)).end_array();
+    lines.layout("\n");
+  }
+  EXPECT_EQ(lines.take(), "[0]\n[1]\n");
+}
+
+TEST(JsonWriterTest, EveryByteRoundTripsThroughTheReader) {
+  std::string all;
+  for (int c = 0; c < 0x80; ++c) all.push_back(static_cast<char>(c));
+  all += "\xC2\xB5\xE2\x9C\x93\xF0\x9F\x9A\x80";  // 2-, 3- and 4-byte UTF-8
+  telemetry::JsonWriter w;
+  w.str(all);
+  const std::string json = w.take();
+  EXPECT_NE(json.find("\\u001f"), std::string::npos) << json;
+  EXPECT_NE(json.find("\\u0000"), std::string::npos) << json;
+  telemetry::JsonReader r(json);
+  EXPECT_EQ(r.str(), all);
+  EXPECT_TRUE(r.done());
+}
+
+TEST(JsonReaderTest, IntegersCoverTheFullRangeAndNothingBeyond) {
+  const auto u = [](std::string_view s) {
+    telemetry::JsonReader r(s);
+    const std::uint64_t v = r.u64();
+    return r.done() ? std::optional<std::uint64_t>(v) : std::nullopt;
+  };
+  const auto i = [](std::string_view s) {
+    telemetry::JsonReader r(s);
+    const std::int64_t v = r.i64();
+    return r.done() ? std::optional<std::int64_t>(v) : std::nullopt;
+  };
+  EXPECT_EQ(u("18446744073709551615"), UINT64_MAX);
+  EXPECT_EQ(u("0"), 0u);
+  EXPECT_EQ(u("007"), 7u);  // leading zeros: accepted, as always
+  EXPECT_EQ(u("18446744073709551616"), std::nullopt);
+  EXPECT_EQ(u("-1"), std::nullopt);
+  EXPECT_EQ(u(""), std::nullopt);
+  EXPECT_EQ(u("1.5"), std::nullopt);
+  EXPECT_EQ(i("-9223372036854775808"), INT64_MIN);
+  EXPECT_EQ(i("9223372036854775807"), INT64_MAX);
+  EXPECT_EQ(i("-0"), 0);
+  EXPECT_EQ(i("-9223372036854775809"), std::nullopt);
+  EXPECT_EQ(i("9223372036854775808"), std::nullopt);
+  EXPECT_EQ(i("-"), std::nullopt);
+  EXPECT_EQ(i("- 1"), std::nullopt);
+}
+
+TEST(JsonReaderTest, RejectsTrailingBytesTrailingCommasAndDuplicateKeys) {
+  const auto parses = [](std::string_view s) {
+    telemetry::JsonReader r(s);
+    r.skip();
+    return r.done();
+  };
+  EXPECT_TRUE(parses("{\"a\":[1,{\"b\":null}],\"c\":\"d\"}"));
+  EXPECT_TRUE(parses(" {\n\"a\": 1 ,\t\"b\" :[ ] }"));
+  EXPECT_FALSE(parses("{\"a\":1} "));
+  EXPECT_FALSE(parses("{\"a\":1}\n"));
+  EXPECT_FALSE(parses("{\"a\":1}{}"));
+  EXPECT_FALSE(parses("{\"a\":1,}"));
+  EXPECT_FALSE(parses("[1,]"));
+  EXPECT_FALSE(parses("[,1]"));
+  EXPECT_FALSE(parses("{,}"));
+  EXPECT_FALSE(parses("{\"a\":}"));  // balanced, but no value
+  EXPECT_FALSE(parses("{\"a\" 1}"));
+  EXPECT_FALSE(parses("{\"a\":1,\"a\":2}"));
+  EXPECT_FALSE(parses("{\"\\u0061\":1,\"a\":2}"));  // same key, escaped
+  EXPECT_FALSE(parses("{1:2}"));
+  EXPECT_FALSE(parses("[1 2]"));
+  EXPECT_FALSE(parses("tru"));
+  EXPECT_FALSE(parses("nul"));
+  EXPECT_FALSE(parses(""));
+  // Duplicate keys are per object, not per document.
+  EXPECT_TRUE(parses("{\"a\":{\"a\":1},\"b\":{\"a\":2}}"));
+}
+
+TEST(JsonReaderTest, SkipsUnknownValuesOfEveryType) {
+  telemetry::JsonReader r(
+      "{\"f\":-1.25e+3,\"g\":1E9,\"big\":123456789012345678901234567890,"
+      "\"t\":true,\"n\":null,\"o\":{\"x\":[false,\"s\"]},\"want\":7}");
+  r.begin_object();
+  std::string key;
+  std::uint64_t want = 0;
+  while (r.next_key(key)) {
+    if (key == "want") {
+      want = r.u64();
+    } else {
+      r.skip();
+    }
+  }
+  EXPECT_TRUE(r.done());
+  EXPECT_EQ(want, 7u);
+
+  for (const char* bad : {"1.", "1e", "-", ".5", "1e+"}) {
+    telemetry::JsonReader b(bad);
+    b.skip();
+    EXPECT_FALSE(b.done()) << bad;
+  }
+}
+
+TEST(JsonReaderTest, StringsDecodeEscapesAndRejectInvalidUtf8) {
+  const auto str = [](std::string_view s) {
+    telemetry::JsonReader r(s);
+    std::string v = r.str();
+    return r.done() ? std::optional<std::string>(v) : std::nullopt;
+  };
+  EXPECT_EQ(str("\"a\\\"b\\\\c\\/d\\b\\f\\n\\r\\t\""),
+            std::string("a\"b\\c/d\b\f\n\r\t"));
+  EXPECT_EQ(str("\"\\u00b5\\u2713\\u0041\""),
+            std::string("\xC2\xB5\xE2\x9C\x93" "A"));
+  EXPECT_EQ(str("\"\\ud83d\""), std::nullopt);  // surrogate half
+  EXPECT_EQ(str("\"\\u12\""), std::nullopt);
+  EXPECT_EQ(str("\"\\x\""), std::nullopt);
+  EXPECT_EQ(str("\"\xC3\""), std::nullopt);      // truncated sequence
+  EXPECT_EQ(str("\"\xC0\xAF\""), std::nullopt);  // overlong '/'
+  EXPECT_EQ(str("\"abc"), std::nullopt);
+  EXPECT_EQ(str("\"abc\\"), std::nullopt);
+}
+
+TEST(JsonReaderTest, NestingDepthIsBounded) {
+  const auto nested = [](int depth) {
+    return std::string(static_cast<std::size_t>(depth), '[') +
+           std::string(static_cast<std::size_t>(depth), ']');
+  };
+  const std::string at_limit = nested(64);
+  telemetry::JsonReader ok(at_limit);
+  ok.skip();
+  EXPECT_TRUE(ok.done());
+  const std::string too_deep = nested(100000);
+  telemetry::JsonReader deep(too_deep);
+  deep.skip();
+  EXPECT_FALSE(deep.done());
 }
 
 TEST(ErrcFromVerdictTest, RouterMappingIsExhaustiveAndDistinct) {
@@ -267,7 +409,7 @@ TEST(SpanTraceTest, NestedSpansAndSelfTime) {
   EXPECT_EQ(trace.self_time_ns(0), 200);
   EXPECT_EQ(trace.self_time_ns(1), 200);
   EXPECT_EQ(trace.self_time_ns(2), 100);
-  EXPECT_TRUE(json_is_balanced(trace.to_json()));
+  EXPECT_TRUE(json_parses(trace.to_json()));
   // take() drained the collector.
   EXPECT_TRUE(col.trace().spans.empty());
 }
@@ -464,7 +606,7 @@ TEST(PerfettoExportTest, TracksAreStableAndMetadataEmitted) {
   builder.add_instant(t2, "mark", "lifecycle", 2'000);
   EXPECT_EQ(builder.event_count(), 2u);
   const std::string json = builder.to_json();
-  EXPECT_TRUE(json_is_balanced(json)) << json;
+  EXPECT_TRUE(json_parses(json)) << json;
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"i\""), std::string::npos);
@@ -487,7 +629,7 @@ TEST(PerfettoExportTest, SpanTraceGetsOneTrackPerAsAndTruncatedInstants) {
   EXPECT_EQ(builder.track_count(), 2u);  // one per AS
   EXPECT_EQ(builder.event_count(), 2u);  // one complete + one instant
   const std::string json = builder.to_json();
-  EXPECT_TRUE(json_is_balanced(json)) << json;
+  EXPECT_TRUE(json_parses(json)) << json;
   EXPECT_NE(json.find("truncated"), std::string::npos) << json;
   EXPECT_NE(json.find("setup: "), std::string::npos) << json;
 }
@@ -508,7 +650,7 @@ TEST(PerfettoExportTest, EventsGroupByAsFieldThenComponent) {
   builder.add_events(log.events(), "lifecycle");
   EXPECT_EQ(builder.track_count(), 3u);  // 1-110, 1-100, renewal
   EXPECT_EQ(builder.event_count(), 3u);
-  EXPECT_TRUE(json_is_balanced(builder.to_json()));
+  EXPECT_TRUE(json_parses(builder.to_json()));
 }
 
 TEST(PerfettoExportTest, StageSpansRenderOnOneTrack) {
@@ -524,7 +666,7 @@ TEST(PerfettoExportTest, StageSpansRenderOnOneTrack) {
   EXPECT_EQ(builder.track_count(), 1u);
   EXPECT_EQ(builder.event_count(), 2u);
   const std::string json = builder.to_json();
-  EXPECT_TRUE(json_is_balanced(json)) << json;
+  EXPECT_TRUE(json_parses(json)) << json;
   EXPECT_NE(json.find("alpha"), std::string::npos);
   EXPECT_NE(json.find("beta"), std::string::npos);
 }
@@ -792,7 +934,7 @@ TEST(PerfettoExportTest, FlowArrowsLinkParentAndChildTracks) {
   telemetry::PerfettoTraceBuilder builder;
   builder.add_span_trace(cap, "control-plane", "setup");
   const std::string json = builder.to_json();
-  EXPECT_TRUE(json_is_balanced(json)) << json;
+  EXPECT_TRUE(json_parses(json)) << json;
   // One hop boundary: a flow start on the parent's track, the finish on
   // the child's, bound by the child's wire span id.
   EXPECT_NE(json.find("\"ph\":\"s\""), std::string::npos) << json;
@@ -877,7 +1019,7 @@ TEST(TelemetryStressTest, ConcurrentWritersWhileReaderSnapshots) {
     const MetricsSnapshot snap = registry.snapshot();
     EXPECT_GE(snap.counters.at("stress.ops"), last_ops);
     last_ops = snap.counters.at("stress.ops");
-    EXPECT_TRUE(json_is_balanced(snap.to_json()));
+    EXPECT_TRUE(json_parses(snap.to_json()));
     const std::string om = telemetry::to_openmetrics(snap);
     EXPECT_NE(om.find("# EOF"), std::string::npos);
     (void)events.size();
