@@ -158,8 +158,21 @@ for preset in "${PRESETS[@]}"; do
     "$OBS" incident show --dir="$forensics_dir" \
       | grep -q '"schema": "colibri.incident.v1"'
     python3 -c "$json_docs" "$forensics_dir"/incidents/incident-*.json
-    "$OBS" history query --series=gateway.forwarded --dir="$forensics_dir" \
-      > /dev/null
+    # The half-open span contract through the on-disk store: the
+    # failover timeline cuts 1 s windows from SimClock 1000 s, and a
+    # window boundary T splits the whole-store count into [.., T) plus
+    # [T, ..) with nothing counted twice or lost.
+    forwarded() {
+      "$OBS" history query --series=gateway.forwarded \
+        --dir="$forensics_dir" "$@" 2> /dev/null | sed -n 's/^counter .* = //p'
+    }
+    whole=$(forwarded)
+    before=$(forwarded --until=1006s)
+    after=$(forwarded --since=1006s)
+    echo "history gateway.forwarded: $whole = $before (< 1006 s) + $after"
+    [ "$before" -gt 0 ]
+    [ "$after" -gt 0 ]
+    [ "$whole" -eq $((before + after)) ]
     "$OBS" history rate --series=router.forwarded --dir="$forensics_dir" \
       > /dev/null
     "$OBS" history p99 --series=cserv.request_latency_ns \

@@ -248,8 +248,10 @@ int query(const colibri::telemetry::MetricsSnapshot& m, const char* name) {
     std::printf("histogram %s: count=%llu sum=%llu p50=%llu p99=%llu\n", name,
                 static_cast<unsigned long long>(it->second.count),
                 static_cast<unsigned long long>(it->second.sum),
-                static_cast<unsigned long long>(it->second.percentile(0.50)),
-                static_cast<unsigned long long>(it->second.percentile(0.99)));
+                static_cast<unsigned long long>(
+                    it->second.percentile_bound(0.50)),
+                static_cast<unsigned long long>(
+                    it->second.percentile_bound(0.99)));
     return 0;
   }
   std::fprintf(stderr, "no series named '%s'\n", name);

@@ -547,11 +547,18 @@ Result<ReservationResult> CServ::finish_eer_request(proto::Packet pkt,
 
 // --- dissemination (App. C) --------------------------------------------------------
 
-std::vector<SegrAdvert> CServ::lookup_segrs(AsId from, AsId to) {
+std::vector<SegrAdvert> CServ::lookup_segrs(
+    AsId from, AsId to, std::optional<topology::SegType> type) {
   const UnixSec now = clock_->now_sec();
   auto local_query = [&]() {
-    return to.valid() ? registry_.query(local_, from, to, now)
-                      : registry_.query_from(local_, from, now);
+    auto hits = to.valid() ? registry_.query(local_, from, to, now)
+                           : registry_.query_from(local_, from, now);
+    if (type) {
+      std::erase_if(hits, [&](const SegrAdvert& a) {
+        return a.seg_type != *type;
+      });
+    }
+    return hits;
   };
   auto local_hits = local_query();
   if (!local_hits.empty()) return local_hits;
@@ -593,11 +600,8 @@ std::vector<std::vector<SegrAdvert>> CServ::lookup_chains(AsId dst) {
       chains.push_back({up, down});
     }
     // up + core + down.
-    for (auto& core : lookup_segrs(joint, AsId{})) {
-      if (core.seg_type != topology::SegType::kCore ||
-          core.first_as() != joint) {
-        continue;
-      }
+    for (auto& core :
+         lookup_segrs(joint, AsId{}, topology::SegType::kCore)) {
       for (auto& down : downs_to_dst(core.last_as())) {
         if (down.seg_type != topology::SegType::kDown) continue;
         chains.push_back({up, core, down});

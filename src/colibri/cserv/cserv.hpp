@@ -15,6 +15,7 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <unordered_set>
 
 #include "colibri/admission/backend.hpp"
@@ -115,8 +116,6 @@ class CServ : public telemetry::MetricsSource {
   }
   AsId local_as() const { return local_; }
   const Clock& clock() const { return *clock_; }
-  // Legacy view, kept as a thin alias of snapshot().
-  CservStats stats() const { return snapshot(); }
 
   // Backup-reservation failover (see failover.hpp). The manager registers
   // itself here; the renewal manager consults it to skip failed-over
@@ -166,8 +165,13 @@ class CServ : public telemetry::MetricsSource {
                                       BwKbps max_bw);
 
   // App. C: segment lookup for end hosts — serves from the local registry,
-  // queries the remote CServ (and caches) on miss.
-  std::vector<SegrAdvert> lookup_segrs(AsId from, AsId to);
+  // queries the remote CServ (and caches) on miss. An invalid `to` means
+  // any destination. With `type` set, only live adverts of that segment
+  // type are returned, and only they count as a hit: a cached down-SegR
+  // of a core AS must not stand in for its core SegRs.
+  std::vector<SegrAdvert> lookup_segrs(
+      AsId from, AsId to,
+      std::optional<topology::SegType> type = std::nullopt);
   // Convenience: find SegR chains covering src->dst (up to 3 segments).
   std::vector<std::vector<SegrAdvert>> lookup_chains(AsId dst);
 

@@ -88,8 +88,6 @@ class RenewalManager : public telemetry::MetricsSource {
     metrics_.batches.reset();
     last_batch_max_ = 0;
   }
-  // Legacy view, kept as a thin alias of snapshot().
-  RenewalStats stats() const { return snapshot(); }
 
   void collect_metrics(telemetry::MetricSink& sink) const override {
     sink.counter("cserv.renewal.renewed", metrics_.renewed.value());

@@ -19,8 +19,8 @@ FleetCollector::FleetCollector(const Clock& clock, FleetCollectorConfig cfg,
 void FleetCollector::add_member(std::string name,
                                 const MetricsRegistry& registry) {
   std::lock_guard lock(mu_);
-  members_.push_back(Member{name, &registry, {}, {}});
-  names_.push_back(std::move(name));
+  members_.push_back(Member{std::move(name), &registry, {}});
+  member_windows_.emplace_back();
 }
 
 void FleetCollector::add_link(std::string name, std::string_view member_a,
@@ -47,18 +47,11 @@ void FleetCollector::add_rollup(std::string series) {
   }
 }
 
-const std::string* FleetCollector::match_rollup(std::string_view name) const {
-  for (const std::string& r : rollups_) {
-    if (r.empty()) continue;
-    if (r.back() == '.') {
-      if (name.size() > r.size() && name.compare(0, r.size(), r) == 0) {
-        return &r;
-      }
-    } else if (name == r) {
-      return &r;
-    }
-  }
-  return nullptr;
+bool FleetCollector::rolled_up(std::string_view name) const {
+  return std::any_of(rollups_.begin(), rollups_.end(), [&](std::string_view r) {
+    return r.ends_with('.') ? name.size() > r.size() && name.starts_with(r)
+                            : !r.empty() && name == r;
+  });
 }
 
 void FleetCollector::sketch_add(const std::string& key, std::uint64_t delta) {
@@ -85,136 +78,117 @@ void FleetCollector::sketch_add(const std::string& key, std::uint64_t delta) {
 
 bool FleetCollector::poll() {
   const TimeNs now = clock_->now_ns();
-  {
-    const TimeNs last = last_end_ns_.load(std::memory_order_relaxed);
-    std::lock_guard lock(mu_);
-    if (have_baseline_ && now - last < cfg_.period_ns) return false;
-  }
-
   // Snapshot every member registry *outside* mu_: a member may double
   // as the export registry, and its snapshot() re-enters
   // collect_metrics() below, which takes mu_.
-  std::vector<std::pair<std::size_t, const MetricsRegistry*>> regs;
+  std::vector<const MetricsRegistry*> regs;
   {
     std::lock_guard lock(mu_);
-    for (std::size_t i = 0; i < members_.size(); ++i) {
-      regs.emplace_back(i, members_[i].registry);
-    }
+    if (have_baseline_ && now - last_end_ns_ < cfg_.period_ns) return false;
+    for (const Member& m : members_) regs.push_back(m.registry);
   }
   std::vector<MetricsSnapshot> snaps;
   snaps.reserve(regs.size());
-  for (const auto& [_, reg] : regs) snaps.push_back(reg->snapshot());
+  for (const MetricsRegistry* reg : regs) snaps.push_back(reg->snapshot());
 
   std::lock_guard lock(mu_);
-  const TimeNs start = last_end_ns_.load(std::memory_order_relaxed);
+  const TimeNs start = last_end_ns_;
   if (have_baseline_ && now - start < cfg_.period_ns) return false;
 
-  SampleWindow w;
-  w.start_ns = start;
-  w.end_ns = now;
-  // Per-window heavy-hitter deltas, summed across members before the
-  // sketch sees them (a reservation crossing 5 ASes is one hitter).
-  std::map<std::string, std::uint64_t> res_deltas;
-
+  const std::string& res_prefix = cfg_.reservation_prefix;
+  const auto is_reservation = [&res_prefix](std::string_view name) {
+    return !res_prefix.empty() && name.size() > res_prefix.size() &&
+           name.starts_with(res_prefix);
+  };
   for (std::size_t s = 0; s < snaps.size(); ++s) {
-    Member& m = members_[regs[s].first];
-    m.last_deltas.clear();
-    for (const auto& [name, cur] : snaps[s].counters) {
-      const std::string* family = match_rollup(name);
-      const bool is_res =
-          !cfg_.reservation_prefix.empty() &&
-          name.size() > cfg_.reservation_prefix.size() &&
-          name.compare(0, cfg_.reservation_prefix.size(),
-                       cfg_.reservation_prefix) == 0;
-      if (family == nullptr && !is_res) continue;
-
-      std::uint64_t delta = cur;
-      if (auto it = m.prev.find(name); it != m.prev.end()) {
-        // A counter that shrank (component reset) restarts the delta
-        // from its new value, matching WindowedSampler.
-        delta = cur >= it->second ? cur - it->second : cur;
-        it->second = cur;
-      } else if (tracked_ < cfg_.max_tracked_series) {
-        m.prev.emplace(name, cur);
-        ++tracked_;
-      } else {
-        // Over budget: the series is not silently folded into the
-        // rollup with bogus deltas — it is dropped and counted.
+    Member& m = members_[s];
+    std::size_t added = 0;
+    std::erase_if(snaps[s].counters, [&](const auto& series) {
+      const std::string& name = series.first;
+      if (!rolled_up(name) && !is_reservation(name)) return true;
+      if (m.prev.counters.contains(name)) return false;
+      // Over budget: the series is not silently folded into the rollup
+      // with bogus deltas — it is dropped and counted.
+      if (tracked_ >= cfg_.max_tracked_series) {
         ++dropped_;
-        continue;
+        return true;
       }
-      if (!have_baseline_) continue;  // first poll: baseline only
-
-      if (family != nullptr) {
-        w.counter_deltas[*family] += delta;
-        m.last_deltas[*family] += delta;
-      }
-      if (is_res) {
-        const std::size_t key_start = cfg_.reservation_prefix.size();
-        const std::size_t dot = name.find('.', key_start);
-        res_deltas[name.substr(key_start, dot == std::string::npos
-                                              ? std::string::npos
-                                              : dot - key_start)] += delta;
-      }
+      ++tracked_;
+      ++added;
+      return false;
+    });
+    MetricsSnapshot cur;
+    cur.counters = std::move(snaps[s].counters);
+    member_windows_[s] = cut_window(m.prev, cur, start, now);
+    // A series that left the registry keeps its value and budget slot.
+    if (cur.counters.size() != m.prev.counters.size() + added) {
+      cur.counters.merge(m.prev.counters);
     }
+    m.prev = std::move(cur);
   }
 
-  last_end_ns_.store(now, std::memory_order_relaxed);
-  if (!have_baseline_) {
+  last_end_ns_ = now;
+  if (!have_baseline_) {  // first poll: baseline only
     have_baseline_ = true;
     return false;
   }
-  for (const auto& [key, delta] : res_deltas) sketch_add(key, delta);
-  ring_.push_back(std::move(w));
-  while (ring_.size() > cfg_.ring_capacity) ring_.pop_front();
+  // Heavy hitters: per-reservation deltas summed across members and
+  // series before the sketch sees them (a reservation crossing 5 ASes
+  // is one hitter).
+  if (!res_prefix.empty()) {
+    for (const auto& [key, delta] :
+         WindowSpan{member_windows_}.counter_delta_by_key(res_prefix)) {
+      sketch_add(key, delta);
+    }
+  }
+  if (ring_.size() == cfg_.ring_capacity) ring_.erase(ring_.begin());
+  ring_.push_back({start, now, rollup_locked(), {}, {}});
   ++windows_sampled_;
   return true;
 }
 
-namespace {
-
-// A rollup family registered as "router.drop." answers queries for
-// both "router.drop." and "router.drop".
-bool family_matches(std::string_view family, std::string_view query) {
-  if (family == query) return true;
-  return !family.empty() && family.back() == '.' &&
-         family.substr(0, family.size() - 1) == query;
+std::map<std::string, std::uint64_t> FleetCollector::rollup_locked() const {
+  std::map<std::string, std::uint64_t> sums;
+  for (const std::string& family : rollups_) {
+    sums[family] = WindowSpan{member_windows_}.counter_delta(
+        family, family.ends_with('.'));
+  }
+  return sums;
 }
 
-double rate_of(std::uint64_t delta, TimeNs elapsed_ns) {
-  if (elapsed_ns <= 0) return 0.0;
-  return static_cast<double>(delta) * static_cast<double>(kNsPerSec) /
-         static_cast<double>(elapsed_ns);
+const std::string* FleetCollector::family_of(std::string_view series) const {
+  for (const std::string& family : rollups_) {
+    if (family == series ||
+        (family.ends_with('.') &&
+         std::string_view(family).substr(0, family.size() - 1) == series)) {
+      return &family;
+    }
+  }
+  return nullptr;
 }
 
-}  // namespace
+double FleetCollector::member_rate_locked(std::size_t i,
+                                          const std::string& family) const {
+  return WindowSpan{{&member_windows_[i], 1}}.rate(family,
+                                                   family.ends_with('.'));
+}
 
 double FleetCollector::fleet_rate(std::string_view series,
                                   TimeNs span_ns) const {
   std::lock_guard lock(mu_);
-  std::uint64_t delta = 0;
-  TimeNs elapsed = 0;
-  for (auto it = ring_.rbegin(); it != ring_.rend(); ++it) {
-    if (elapsed >= span_ns) break;
-    elapsed += it->elapsed_ns();
-    for (const auto& [family, d] : it->counter_deltas) {
-      if (family_matches(family, series)) delta += d;
-    }
-  }
-  return rate_of(delta, elapsed);
+  const std::string* family = family_of(series);
+  return family == nullptr
+             ? 0.0
+             : WindowSpan::trailing(ring_, span_ns).rate(*family);
 }
 
 double FleetCollector::as_rate(std::string_view member,
                                std::string_view series) const {
   std::lock_guard lock(mu_);
-  if (ring_.empty()) return 0.0;
-  for (const Member& m : members_) {
-    if (m.name != member) continue;
-    std::uint64_t delta = 0;
-    for (const auto& [family, d] : m.last_deltas) {
-      if (family_matches(family, series)) delta += d;
-    }
-    return rate_of(delta, ring_.back().elapsed_ns());
+  const std::string* family = family_of(series);
+  if (ring_.empty() || family == nullptr) return 0.0;
+  for (std::size_t i = 0; i < members_.size(); ++i) {
+    if (members_[i].name == member) return member_rate_locked(i, *family);
   }
   return 0.0;
 }
@@ -222,22 +196,23 @@ double FleetCollector::as_rate(std::string_view member,
 double FleetCollector::link_rate(std::string_view link,
                                  std::string_view series) const {
   std::lock_guard lock(mu_);
-  if (ring_.empty()) return 0.0;
+  const std::string* family = family_of(series);
+  if (ring_.empty() || family == nullptr) return 0.0;
   for (const Link& l : links_) {
-    if (l.name != link) continue;
-    std::uint64_t delta = 0;
-    for (const std::size_t idx : {l.a, l.b}) {
-      for (const auto& [family, d] : members_[idx].last_deltas) {
-        if (family_matches(family, series)) delta += d;
-      }
+    if (l.name == link) {
+      return member_rate_locked(l.a, *family) +
+             member_rate_locked(l.b, *family);
     }
-    return rate_of(delta, ring_.back().elapsed_ns());
   }
   return 0.0;
 }
 
 std::vector<FleetTopEntry> FleetCollector::top_hitters() const {
   std::lock_guard lock(mu_);
+  return ranked_locked();
+}
+
+std::vector<FleetTopEntry> FleetCollector::ranked_locked() const {
   std::vector<FleetTopEntry> out;
   out.reserve(sketch_.size());
   for (const auto& [key, e] : sketch_) {
@@ -292,32 +267,16 @@ void FleetCollector::collect_metrics(MetricSink& sink) const {
 
   // Whole-ring rate per rollup family, rounded: fleet.rate.<family>.
   for (const std::string& family : rollups_) {
-    std::uint64_t delta = 0;
-    TimeNs elapsed = 0;
-    for (const SampleWindow& w : ring_) {
-      elapsed += w.elapsed_ns();
-      if (auto it = w.counter_deltas.find(family);
-          it != w.counter_deltas.end()) {
-        delta += it->second;
-      }
-    }
     std::string name = "fleet.rate.";
-    name.append(family.back() == '.' ? family.substr(0, family.size() - 1)
-                                     : family);
+    name.append(family.ends_with('.') ? family.substr(0, family.size() - 1)
+                                      : family);
     sink.gauge(name,
-               static_cast<std::int64_t>(rate_of(delta, elapsed) + 0.5));
+               static_cast<std::int64_t>(WindowSpan{ring_}.rate(family) + 0.5));
   }
 
   // Ranked heavy-hitter magnitudes (keys stay on the query API — rank
   // names keep exposition cardinality at top_k).
-  std::vector<FleetTopEntry> top;
-  top.reserve(sketch_.size());
-  for (const auto& [key, e] : sketch_) top.push_back({key, e.count, e.error});
-  std::sort(top.begin(), top.end(),
-            [](const FleetTopEntry& x, const FleetTopEntry& y) {
-              if (x.estimate != y.estimate) return x.estimate > y.estimate;
-              return x.key < y.key;
-            });
+  const std::vector<FleetTopEntry> top = ranked_locked();
   for (std::size_t i = 0; i < top.size(); ++i) {
     sink.gauge("fleet.top." + std::to_string(i + 1) + ".estimate",
                static_cast<std::int64_t>(top[i].estimate));

@@ -5,9 +5,9 @@
 // plane, one sampler per registry. A topology-wide question — "what is
 // the whole fleet admitting per second", "which reservation consumes
 // the most bandwidth anywhere" — needs a collector that visits every
-// AS's registry, takes snapshot deltas (the same delta machinery
-// WindowedSampler applies to a single registry), and rolls the deltas
-// up hierarchically: per-AS -> per-link -> fleet.
+// AS's registry, cuts one window per AS with the WindowedSampler's
+// delta cut (cut_window, timeseries.hpp), and rolls the windows up
+// hierarchically: per-AS -> per-link -> fleet.
 //
 // Memory is bounded by construction: the collector remembers previous
 // values only for series it actually rolls up (the registered rollup
@@ -27,9 +27,7 @@
 // the ordinary JSON-snapshot / OpenMetrics pipeline.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <mutex>
 #include <string>
@@ -95,8 +93,9 @@ class FleetCollector : public MetricsSource {
   bool poll();
 
   // --- queries -----------------------------------------------------------
-  // Per-second fleet-wide rate of a rollup family over `span_ns` of the
-  // retained ring (kSpanAll = whole ring).
+  // Per-second fleet-wide rate of a rollup family over the trailing
+  // `span_ns` of the retained ring (kSpanAll = whole ring). A family
+  // registered as "router.drop." also answers to "router.drop".
   double fleet_rate(std::string_view series,
                     TimeNs span_ns = WindowedSampler::kSpanAll) const;
   // Per-member / per-link rate over the latest window only (0 before
@@ -112,7 +111,6 @@ class FleetCollector : public MetricsSource {
   std::uint64_t windows_sampled() const;  // total since construction
   std::size_t tracked_series() const;     // prev-value entries, fleet-wide
   std::uint64_t dropped_series() const;   // budget-exceeded drops
-  const std::vector<std::string>& member_names() const { return names_; }
 
   // fleet.as_count, fleet.link_count, fleet.windows, fleet.series_*,
   // fleet.top.*, and one fleet.rate.<family> gauge per rollup family.
@@ -122,10 +120,8 @@ class FleetCollector : public MetricsSource {
   struct Member {
     std::string name;
     const MetricsRegistry* registry = nullptr;
-    // Previous values of matched series only (the memory budget).
-    std::map<std::string, std::uint64_t> prev;
-    // Latest-window delta per rollup family.
-    std::map<std::string, std::uint64_t> last_deltas;
+    // Previous values of tracked series only (the memory budget).
+    MetricsSnapshot prev;
   };
   struct Link {
     std::string name;
@@ -137,23 +133,32 @@ class FleetCollector : public MetricsSource {
     std::uint64_t error = 0;
   };
 
-  // Rollup family the counter belongs to, or nullptr.
-  const std::string* match_rollup(std::string_view name) const;
+  // True when the counter belongs to a rollup family.
+  bool rolled_up(std::string_view name) const;
+  // Per-family sums over every member's latest window: the counters of
+  // a fleet window.
+  std::map<std::string, std::uint64_t> rollup_locked() const;
+  // The registered family answering to `series`, or nullptr.
+  const std::string* family_of(std::string_view series) const;
+  // Rate of `family` in member i's latest window.
+  double member_rate_locked(std::size_t i, const std::string& family) const;
+  // Sketch entries, highest estimate first (ties broken by key).
+  std::vector<FleetTopEntry> ranked_locked() const;
   // Space-saving update: admit `key` with weight `delta`.
   void sketch_add(const std::string& key, std::uint64_t delta);
 
   const Clock* clock_;
   FleetCollectorConfig cfg_;
 
-  std::atomic<TimeNs> last_end_ns_;
-
   mutable std::mutex mu_;
   std::vector<Member> members_;
-  std::vector<std::string> names_;  // member names, registration order
+  // Latest cut per member (same index), every tracked series.
+  std::vector<SampleWindow> member_windows_;
   std::vector<Link> links_;
   std::vector<std::string> rollups_;
   bool have_baseline_ = false;
-  std::deque<SampleWindow> ring_;  // fleet-level rollup windows
+  TimeNs last_end_ns_;  // end of the newest window (or the baseline)
+  std::vector<SampleWindow> ring_;  // fleet family sums, oldest first
   std::uint64_t windows_sampled_ = 0;
   std::size_t tracked_ = 0;
   std::uint64_t dropped_ = 0;

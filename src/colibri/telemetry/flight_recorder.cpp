@@ -1,6 +1,6 @@
 #include "colibri/telemetry/flight_recorder.hpp"
 
-#include <bit>
+#include <algorithm>
 
 #include "colibri/common/bytes.hpp"
 
@@ -39,26 +39,14 @@ void FlightRecord::write_json(JsonWriter& w) const {
 }
 
 FlightRecorder::FlightRecorder(const Config& cfg)
-    : ring_(std::bit_ceil(cfg.capacity < 2 ? std::size_t{2} : cfg.capacity)),
-      mask_(ring_.size() - 1),
+    : ring_(std::max<std::size_t>(cfg.capacity, 2)),
       sample_every_(cfg.sample_every),
       sample_countdown_(cfg.sample_every),
       record_drops_(cfg.record_drops) {}
 
-std::vector<FlightRecord> FlightRecorder::records() const {
-  std::vector<FlightRecord> out;
-  const std::size_t n = size();
-  out.reserve(n);
-  const std::uint64_t first = head_ - n;
-  for (std::uint64_t i = first; i < head_; ++i) {
-    out.push_back(ring_[static_cast<std::size_t>(i) & mask_]);
-  }
-  return out;
-}
-
 std::vector<FlightRecord> FlightRecorder::drain() {
   std::vector<FlightRecord> out = records();
-  head_ = 0;
+  ring_.clear();
   return out;
 }
 

@@ -3,8 +3,8 @@
 //
 // PR 1's MetricsRegistry answers "how many packets were dropped"; the
 // flight recorder answers "*why this packet*, at which hop, under what
-// state". Each router/gateway instance owns one recorder — a fixed-size
-// ring of POD FlightRecords preallocated at construction, so the hot
+// state". Each router/gateway instance owns one recorder — a CaptureRing
+// (ring.hpp) of POD FlightRecords preallocated at construction, so the hot
 // path never allocates: recording one decision is a handful of stores
 // into a stack-local record plus (when the record is kept) one struct
 // copy into the ring.
@@ -36,6 +36,7 @@
 #include "colibri/common/errors.hpp"
 #include "colibri/common/ids.hpp"
 #include "colibri/telemetry/json.hpp"
+#include "colibri/telemetry/ring.hpp"
 
 namespace colibri::telemetry {
 
@@ -80,8 +81,8 @@ class FlightRecorder {
   static constexpr std::uint8_t kGateway = 1;
 
   struct Config {
-    // Ring capacity; rounded up to a power of two. Memory is allocated
-    // once here and never again.
+    // Ring capacity (at least 2); rounded up to a power of two. Memory
+    // is allocated once here and never again.
     std::size_t capacity = 1024;
     // Keep every Nth decision (0 = no sampling).
     std::uint32_t sample_every = 0;
@@ -124,29 +125,23 @@ class FlightRecorder {
   // Copies `r` into the ring (overwriting the oldest record when full)
   // and assigns its commit sequence number. No allocation.
   void commit(const FlightRecord& r) {
-    FlightRecord& slot = ring_[static_cast<std::size_t>(head_) & mask_];
-    slot = r;
-    slot.seq = head_++;
+    const std::uint64_t seq = ring_.committed();
+    ring_.push(r).seq = seq;
   }
 
-  // Records committed since construction (monotonic; keeps counting
-  // after wrap-around).
-  std::uint64_t committed() const { return head_; }
+  // Records committed since construction or the last clear (monotonic;
+  // keeps counting after wrap-around).
+  std::uint64_t committed() const { return ring_.committed(); }
   // Records lost to wrap-around.
-  std::uint64_t overwritten() const {
-    return head_ > capacity() ? head_ - capacity() : 0;
-  }
-  std::size_t size() const {
-    return static_cast<std::size_t>(
-        head_ > capacity() ? capacity() : head_);
-  }
-  std::size_t capacity() const { return mask_ + 1; }
+  std::uint64_t overwritten() const { return ring_.overwritten(); }
+  std::size_t size() const { return ring_.size(); }
+  std::size_t capacity() const { return ring_.capacity(); }
 
   // Oldest-first copy of the live window; the ring keeps recording.
-  std::vector<FlightRecord> records() const;
+  std::vector<FlightRecord> records() const { return ring_.items(); }
   // records() + clears the ring (sampling phase is preserved).
   std::vector<FlightRecord> drain();
-  void clear() { head_ = 0; }
+  void clear() { ring_.clear(); }
 
   // JSON-lines export of records(), one record per line.
   std::string to_jsonl() const;
@@ -159,9 +154,7 @@ class FlightRecorder {
   void set_record_drops(bool on) { record_drops_ = on; }
 
  private:
-  std::vector<FlightRecord> ring_;
-  std::size_t mask_;
-  std::uint64_t head_ = 0;
+  CaptureRing<FlightRecord> ring_;
   std::uint32_t sample_every_ = 0;
   std::uint32_t sample_countdown_ = 0;
   bool record_drops_ = true;

@@ -348,10 +348,9 @@ void HistoryStore::recover_locked() {
     while (off < raw.size()) {
       auto w = decode_history_frame(raw, off, state);
       if (!w) break;  // torn tail / corrupt frame: seal the prefix
-      if (seg.windows.empty()) seg.first_start_ns = w->start_ns;
-      seg.last_end_ns = w->end_ns;
+      ++seg.windows;
       last_appended_end_ns_ = std::max(last_appended_end_ns_, w->end_ns);
-      seg.windows.push_back(std::move(*w));
+      windows_.push_back(std::move(*w));
       ++stats_.frames_recovered;
     }
     if (off < raw.size()) {
@@ -367,11 +366,8 @@ void HistoryStore::recover_locked() {
   writable_open_ = false;
 }
 
-void HistoryStore::rotate_locked(TimeNs first_start_ns) {
-  Segment seg;
-  seg.name = segment_name(next_segment_index_++);
-  seg.first_start_ns = first_start_ns;
-  segments_.push_back(std::move(seg));
+void HistoryStore::rotate_locked() {
+  segments_.push_back(Segment{segment_name(next_segment_index_++)});
   enc_ = HistoryCodecState{};
   writable_open_ = true;
 }
@@ -379,15 +375,23 @@ void HistoryStore::rotate_locked(TimeNs first_start_ns) {
 void HistoryStore::compact_locked(TimeNs newest_end_ns) {
   const auto drop_oldest = [&] {
     backend_->remove(segments_.front().name);
+    windows_.erase(windows_.begin(),
+                   windows_.begin() + static_cast<std::ptrdiff_t>(
+                                          segments_.front().windows));
     segments_.pop_front();
     ++stats_.segments_dropped;
   };
   if (cfg_.max_segments > 0) {
     while (segments_.size() > cfg_.max_segments) drop_oldest();
   }
+  // The oldest segment's windows lead windows_; an empty one ended at 0.
+  const auto front_end_ns = [&]() -> TimeNs {
+    const std::size_t n = segments_.front().windows;
+    return n == 0 ? 0 : windows_[n - 1].end_ns;
+  };
   if (cfg_.retention_ns > 0) {
     while (segments_.size() > 1 &&
-           segments_.front().last_end_ns < newest_end_ns - cfg_.retention_ns) {
+           front_end_ns() < newest_end_ns - cfg_.retention_ns) {
       drop_oldest();
     }
   }
@@ -395,27 +399,23 @@ void HistoryStore::compact_locked(TimeNs newest_end_ns) {
 
 void HistoryStore::append(const SampleWindow& w) {
   std::lock_guard<std::mutex> lock(mu_);
-  const bool age_rotate =
-      writable_open_ && !segments_.empty() &&
-      !segments_.back().windows.empty() &&
-      w.end_ns - segments_.back().first_start_ns >=
-          static_cast<TimeNs>(cfg_.max_segment_age_ns);
-  if (!writable_open_ || age_rotate ||
-      segments_.back().bytes >= cfg_.max_segment_bytes) {
-    if (age_rotate || (writable_open_ &&
-                       segments_.back().bytes >= cfg_.max_segment_bytes)) {
-      ++stats_.rotations;
-    }
-    rotate_locked(w.start_ns);
-  }
+  // The current segment's windows end windows_.
+  const Segment* cur = writable_open_ ? &segments_.back() : nullptr;
+  const bool full =
+      cur != nullptr &&
+      (cur->bytes >= cfg_.max_segment_bytes ||
+       (cur->windows != 0 &&
+        w.end_ns - windows_[windows_.size() - cur->windows].start_ns >=
+            cfg_.max_segment_age_ns));
+  if (full) ++stats_.rotations;
+  if (cur == nullptr || full) rotate_locked();
 
   const Bytes frame = encode_history_frame(w, enc_);
   Segment& seg = segments_.back();
   backend_->open(seg.name).append(frame);
   seg.bytes += frame.size();
-  if (seg.windows.empty()) seg.first_start_ns = w.start_ns;
-  seg.last_end_ns = w.end_ns;
-  seg.windows.push_back(w);
+  ++seg.windows;
+  windows_.push_back(w);
   last_appended_end_ns_ = std::max(last_appended_end_ns_, w.end_ns);
   ++stats_.frames_appended;
   stats_.bytes_appended += frame.size();
@@ -434,112 +434,38 @@ bool HistoryStore::append_latest(const WindowedSampler& sampler) {
   return true;
 }
 
-namespace {
-
-// Half-open span semantics: a window counts when it overlaps (since,
-// until) with nonzero measure — a window *ending* exactly at `since` or
-// *starting* exactly at `until` contributes nothing to the span and is
-// excluded, so adjacent spans partition the timeline without double
-// counting.
-bool overlaps(const SampleWindow& w, TimeNs since_ns, TimeNs until_ns) {
-  return w.end_ns > since_ns && w.start_ns < until_ns;
-}
-
-bool series_matches(std::string_view name, std::string_view series,
-                    bool prefix) {
-  return prefix ? name.substr(0, series.size()) == series : name == series;
-}
-
-}  // namespace
-
 std::vector<SampleWindow> HistoryStore::windows(TimeNs since_ns,
                                                 TimeNs until_ns) const {
   std::lock_guard<std::mutex> lock(mu_);
-  std::vector<SampleWindow> out;
-  for (const Segment& seg : segments_) {
-    for (const SampleWindow& w : seg.windows) {
-      if (overlaps(w, since_ns, until_ns)) out.push_back(w);
-    }
-  }
-  return out;
+  const auto span = span_locked(since_ns, until_ns).windows;
+  return {span.begin(), span.end()};
 }
 
 std::uint64_t HistoryStore::counter_delta(std::string_view series,
                                           TimeNs since_ns, TimeNs until_ns,
                                           bool prefix) const {
   std::lock_guard<std::mutex> lock(mu_);
-  std::uint64_t sum = 0;
-  for (const Segment& seg : segments_) {
-    for (const SampleWindow& w : seg.windows) {
-      if (!overlaps(w, since_ns, until_ns)) continue;
-      if (prefix) {
-        for (auto it = w.counter_deltas.lower_bound(std::string(series));
-             it != w.counter_deltas.end() &&
-             series_matches(it->first, series, true);
-             ++it) {
-          sum += it->second;
-        }
-      } else if (auto it = w.counter_deltas.find(std::string(series));
-                 it != w.counter_deltas.end()) {
-        sum += it->second;
-      }
-    }
-  }
-  return sum;
+  return span_locked(since_ns, until_ns).counter_delta(series, prefix);
 }
 
 double HistoryStore::rate(std::string_view series, TimeNs since_ns,
                           TimeNs until_ns, bool prefix) const {
-  std::uint64_t delta = 0;
-  TimeNs elapsed = 0;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const Segment& seg : segments_) {
-      for (const SampleWindow& w : seg.windows) {
-        if (!overlaps(w, since_ns, until_ns)) continue;
-        elapsed += w.elapsed_ns();
-        if (prefix) {
-          for (auto it = w.counter_deltas.lower_bound(std::string(series));
-               it != w.counter_deltas.end() &&
-               series_matches(it->first, series, true);
-               ++it) {
-            delta += it->second;
-          }
-        } else if (auto it = w.counter_deltas.find(std::string(series));
-                   it != w.counter_deltas.end()) {
-          delta += it->second;
-        }
-      }
-    }
-  }
-  if (elapsed <= 0) return 0.0;
-  return static_cast<double>(delta) * static_cast<double>(kNsPerSec) /
-         static_cast<double>(elapsed);
+  std::lock_guard<std::mutex> lock(mu_);
+  return span_locked(since_ns, until_ns).rate(series, prefix);
 }
 
 HistogramSnapshot HistoryStore::histogram_delta(std::string_view series,
                                                 TimeNs since_ns,
                                                 TimeNs until_ns) const {
   std::lock_guard<std::mutex> lock(mu_);
-  HistogramSnapshot merged;
-  for (const Segment& seg : segments_) {
-    for (const SampleWindow& w : seg.windows) {
-      if (!overlaps(w, since_ns, until_ns)) continue;
-      if (auto it = w.histogram_deltas.find(std::string(series));
-          it != w.histogram_deltas.end()) {
-        merged.merge(it->second);
-      }
-    }
-  }
-  return merged;
+  return span_locked(since_ns, until_ns).histogram_delta(series);
 }
 
 std::optional<double> HistoryStore::percentile(std::string_view series,
                                                double q, TimeNs since_ns,
                                                TimeNs until_ns) const {
-  const HistogramSnapshot h = histogram_delta(series, since_ns, until_ns);
-  if (h.count == 0) return std::nullopt;
-  return h.percentile(q);
+  std::lock_guard<std::mutex> lock(mu_);
+  return span_locked(since_ns, until_ns).percentile(series, q);
 }
 
 std::optional<std::int64_t> HistoryStore::gauge_level(std::string_view series,
@@ -547,35 +473,12 @@ std::optional<std::int64_t> HistoryStore::gauge_level(std::string_view series,
                                                       TimeNs until_ns,
                                                       bool prefix) const {
   std::lock_guard<std::mutex> lock(mu_);
-  // Newest window in the span wins, matching the sampler's "latest
-  // sampled level" semantics.
-  for (auto seg = segments_.rbegin(); seg != segments_.rend(); ++seg) {
-    for (auto w = seg->windows.rbegin(); w != seg->windows.rend(); ++w) {
-      if (w->end_ns < since_ns || w->start_ns > until_ns) continue;
-      if (!prefix) {
-        if (auto it = w->gauges.find(std::string(series));
-            it != w->gauges.end()) {
-          return it->second;
-        }
-        continue;
-      }
-      std::optional<std::int64_t> best;
-      for (auto it = w->gauges.lower_bound(std::string(series));
-           it != w->gauges.end() && series_matches(it->first, series, true);
-           ++it) {
-        best = best ? std::max(*best, it->second) : it->second;
-      }
-      if (best) return best;
-    }
-  }
-  return std::nullopt;
+  return span_locked(since_ns, until_ns).gauge_level(series, prefix);
 }
 
 std::size_t HistoryStore::window_count() const {
   std::lock_guard<std::mutex> lock(mu_);
-  std::size_t n = 0;
-  for (const Segment& seg : segments_) n += seg.windows.size();
-  return n;
+  return windows_.size();
 }
 
 std::size_t HistoryStore::segment_count() const {
@@ -598,9 +501,8 @@ void HistoryStore::collect_metrics(MetricSink& sink) const {
   sink.counter("telemetry.history.discarded_bytes", stats_.discarded_bytes);
   sink.gauge("telemetry.history.segments",
              static_cast<std::int64_t>(segments_.size()));
-  std::size_t windows = 0;
-  for (const Segment& seg : segments_) windows += seg.windows.size();
-  sink.gauge("telemetry.history.windows", static_cast<std::int64_t>(windows));
+  sink.gauge("telemetry.history.windows",
+             static_cast<std::int64_t>(windows_.size()));
 }
 
 }  // namespace colibri::telemetry

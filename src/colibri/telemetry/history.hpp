@@ -27,10 +27,8 @@
 //
 // Everything is Clock-free: timestamps come from the windows
 // themselves, so a SimClock scenario writes a bit-identical store on
-// every same-seed run. Queries (`counter_delta`, `rate`, `percentile`,
-// `gauge_level`) mirror the WindowedSampler's semantics but take
-// absolute [since, until] spans, answering "what was the admission rate
-// between t1 and t2" for a store written by a process that is gone.
+// every same-seed run. Queries run on the window engine of
+// timeseries.hpp over absolute half-open [since, until) spans.
 #pragma once
 
 #include <cstdint>
@@ -168,10 +166,12 @@ class HistoryStore : public MetricsSource {
   // Returns true when a frame was appended.
   bool append_latest(const WindowedSampler& sampler);
 
-  // --- queries (absolute spans; until = kUntilEnd reads to the end) -------
+  // --- queries -------------------------------------------------------------
+  // Each reads WindowSpan::overlapping (timeseries.hpp): the half-open
+  // [since, until); until = kUntilEnd reads to the end.
   static constexpr TimeNs kUntilEnd = std::numeric_limits<TimeNs>::max();
 
-  // Windows overlapping [since, until], oldest first.
+  // Windows overlapping the span, oldest first.
   std::vector<SampleWindow> windows(TimeNs since_ns = 0,
                                     TimeNs until_ns = kUntilEnd) const;
   // Counter increment summed over the span (`prefix` sums every series
@@ -187,8 +187,8 @@ class HistoryStore : public MetricsSource {
   // Windowed percentile over the span; nullopt when nothing recorded.
   std::optional<double> percentile(std::string_view series, double q,
                                    TimeNs since_ns, TimeNs until_ns) const;
-  // Gauge level at the newest window in the span (prefix = max across
-  // matching names); nullopt when the span holds no such gauge.
+  // Gauge level at the newest window in the span holding the series
+  // (prefix = max across matching names); nullopt when there is none.
   std::optional<std::int64_t> gauge_level(std::string_view series,
                                           TimeNs since_ns, TimeNs until_ns,
                                           bool prefix = false) const;
@@ -202,21 +202,23 @@ class HistoryStore : public MetricsSource {
  private:
   struct Segment {
     std::string name;
-    std::vector<SampleWindow> windows;
+    std::size_t windows = 0;  // its run in windows_
     std::size_t bytes = 0;
-    TimeNs first_start_ns = 0;
-    TimeNs last_end_ns = 0;
   };
 
-  void rotate_locked(TimeNs first_start_ns);
+  void rotate_locked();
   void compact_locked(TimeNs newest_end_ns);
   void recover_locked();
+  WindowSpan span_locked(TimeNs since_ns, TimeNs until_ns) const {
+    return WindowSpan::overlapping(windows_, since_ns, until_ns);
+  }
 
   HistoryBackend* backend_;
   HistoryConfig cfg_;
 
   mutable std::mutex mu_;
   std::deque<Segment> segments_;     // oldest first; back() = writable
+  std::vector<SampleWindow> windows_;  // every segment's, oldest first
   bool writable_open_ = false;       // back() accepts appends
   std::uint64_t next_segment_index_ = 0;
   TimeNs last_appended_end_ns_ = std::numeric_limits<TimeNs>::min();

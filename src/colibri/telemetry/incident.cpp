@@ -22,8 +22,8 @@ void write_window(JsonWriter& w, const SampleWindow& win) {
   w.end_object().key("histograms").begin_object();
   for (const auto& [name, h] : win.histogram_deltas) {
     w.key(name).begin_object().key("count").u64(h.count).key("sum").u64(h.sum);
-    w.key("p50").i64(std::llround(h.percentile(0.50)));
-    w.key("p99").i64(std::llround(h.percentile(0.99))).end_object();
+    w.key("p50").i64(h.percentile_i64(0.50));
+    w.key("p99").i64(h.percentile_i64(0.99)).end_object();
   }
   w.end_object().end_object();
 }

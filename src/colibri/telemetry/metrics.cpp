@@ -12,19 +12,18 @@ std::uint64_t HistogramSnapshot::bucket_upper_bound(std::size_t i) {
   return (std::uint64_t{1} << i) - 1;
 }
 
-double HistogramSnapshot::percentile(double q) const {
-  if (count == 0) return 0.0;
+std::uint64_t HistogramSnapshot::percentile_bound(double q) const {
+  if (count == 0) return 0;
   q = std::clamp(q, 0.0, 1.0);
   const auto rank = static_cast<std::uint64_t>(q * static_cast<double>(count));
   std::uint64_t seen = 0;
   for (std::size_t i = 0; i < buckets.size(); ++i) {
     seen += buckets[i];
-    if (seen > rank || seen == count) {
-      return static_cast<double>(bucket_upper_bound(i));
-    }
+    if (seen > rank || seen == count) return bucket_upper_bound(i);
   }
-  return static_cast<double>(bucket_upper_bound(buckets.size() - 1));
+  return bucket_upper_bound(buckets.size() - 1);
 }
+
 
 void HistogramSnapshot::merge(const HistogramSnapshot& other) {
   count += other.count;
@@ -57,8 +56,8 @@ std::string MetricsSnapshot::to_json() const {
   for (const auto& [name, h] : histograms) {
     w.key(name).begin_object();
     w.key("count").u64(h.count).key("sum").u64(h.sum);
-    w.key("p50").u64(static_cast<std::uint64_t>(h.percentile(0.50)));
-    w.key("p99").u64(static_cast<std::uint64_t>(h.percentile(0.99)));
+    w.key("p50").u64(h.percentile_bound(0.50));
+    w.key("p99").u64(h.percentile_bound(0.99));
     w.key("buckets").begin_array();
     for (std::size_t i = 0; i < h.buckets.size(); ++i) {
       if (h.buckets[i] == 0) continue;  // sparse export

@@ -22,10 +22,12 @@
 // concurrently by a snapshot.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <bit>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -76,8 +78,17 @@ struct HistogramSnapshot {
 
   // Inclusive upper bound of bucket i (2^i - 1; saturated for the last).
   static std::uint64_t bucket_upper_bound(std::size_t i);
-  // Conservative (upper-bound) percentile estimate, q in [0, 1].
-  double percentile(double q) const;
+  // Conservative (upper-bound) percentile estimate, q in [0, 1]: the
+  // bound of the bucket holding the quantile (0 when empty), exact as an
+  // integer; percentile_i64 saturates it at INT64_MAX for i64 fields.
+  std::uint64_t percentile_bound(double q) const;
+  std::int64_t percentile_i64(double q) const {
+    return static_cast<std::int64_t>(std::min<std::uint64_t>(
+        percentile_bound(q), std::numeric_limits<std::int64_t>::max()));
+  }
+  double percentile(double q) const {
+    return static_cast<double>(percentile_bound(q));
+  }
   double mean() const {
     return count == 0 ? 0.0
                       : static_cast<double>(sum) / static_cast<double>(count);

@@ -21,36 +21,14 @@ void StageProfiler::record(std::size_t stage, std::int64_t t0,
   if (stage >= hists_.size()) return;
   const std::int64_t d = t1 - t0;
   hists_[stage].record(d > 0 ? static_cast<std::uint64_t>(d) : 0);
-  if (span_cap_ != 0) {
-    StageSpan& slot = span_ring_[span_count_ % span_cap_];
-    slot.stage = static_cast<std::uint8_t>(stage);
-    slot.batch = batch_seq_;
-    slot.t0_ns = t0;
-    slot.t1_ns = t1;
-    ++span_count_;
+  if (capturing()) {
+    spans_.push({static_cast<std::uint8_t>(stage), batch_seq_, t0, t1});
   }
 }
 
 void StageProfiler::count_batch(std::size_t occupancy) {
   occupancy_.record(occupancy);
   ++batch_seq_;
-}
-
-void StageProfiler::set_span_capture(std::size_t max_spans) {
-  span_cap_ = max_spans;
-  span_count_ = 0;
-  span_ring_.assign(max_spans, StageSpan{});
-}
-
-std::vector<StageSpan> StageProfiler::spans() const {
-  std::vector<StageSpan> out;
-  if (span_cap_ == 0 || span_count_ == 0) return out;
-  const std::uint64_t live = span_count_ < span_cap_ ? span_count_ : span_cap_;
-  out.reserve(static_cast<std::size_t>(live));
-  for (std::uint64_t i = span_count_ - live; i < span_count_; ++i) {
-    out.push_back(span_ring_[i % span_cap_]);
-  }
-  return out;
 }
 
 void StageProfiler::collect_metrics(MetricSink& sink) const {
@@ -69,7 +47,7 @@ void StageProfiler::reset() {
   for (auto& h : hists_) h.reset();
   occupancy_.reset();
   batch_seq_ = 0;
-  span_count_ = 0;
+  spans_.clear();
 }
 
 }  // namespace colibri::telemetry

@@ -19,7 +19,8 @@
 //
 // Stage timings can additionally be captured as spans (begin/end pairs
 // tagged with the batch sequence number) for the Perfetto trace export
-// (trace_export.hpp); span capture is bounded and preallocated.
+// (trace_export.hpp); span capture is a preallocated CaptureRing
+// (ring.hpp).
 #pragma once
 
 #include <cstdint>
@@ -27,6 +28,7 @@
 #include <vector>
 
 #include "colibri/telemetry/metrics.hpp"
+#include "colibri/telemetry/ring.hpp"
 
 namespace colibri::telemetry {
 
@@ -77,13 +79,16 @@ class StageProfiler {
   void count_batch(std::size_t occupancy);
 
   // --- span capture (for the Perfetto export) --------------------------
-  // Keeps the most recent `max_spans` stage executions (0 disables).
-  // Storage is preallocated here; capture itself never allocates.
-  void set_span_capture(std::size_t max_spans);
-  bool capturing() const { return span_cap_ != 0; }
+  // Keeps the most recent `max_spans` stage executions, rounded up to a
+  // power of two (0 disables). Storage is preallocated here; capture
+  // itself never allocates.
+  void set_span_capture(std::size_t max_spans) {
+    spans_ = CaptureRing<StageSpan>(max_spans);
+  }
+  bool capturing() const { return spans_.capacity() != 0; }
   // Oldest-first copy of the captured window; capture continues.
-  std::vector<StageSpan> spans() const;
-  void clear_spans() { span_count_ = 0; }
+  std::vector<StageSpan> spans() const { return spans_.items(); }
+  void clear_spans() { spans_.clear(); }
 
   // --- exposition ------------------------------------------------------
   std::size_t stage_count() const { return names_.size(); }
@@ -109,10 +114,7 @@ class StageProfiler {
   Histogram occupancy_;
   std::uint32_t batch_seq_ = 0;
 
-  // Span ring (single-writer, reader copies like the flight recorder).
-  std::vector<StageSpan> span_ring_;
-  std::size_t span_cap_ = 0;
-  std::uint64_t span_count_ = 0;  // monotonic; ring index = count % cap
+  CaptureRing<StageSpan> spans_;
 };
 
 }  // namespace colibri::telemetry

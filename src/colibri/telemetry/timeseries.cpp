@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 namespace colibri::telemetry {
 
@@ -33,11 +34,137 @@ HistogramSnapshot histogram_minus(const HistogramSnapshot& cur,
   return d;
 }
 
-bool matches(std::string_view name, std::string_view series, bool prefix) {
-  return prefix ? name.substr(0, series.size()) == series : name == series;
+// Visits `series` in one window's sorted name map: the exact entry, or
+// with `prefix` every entry under it (one run from lower_bound).
+template <class Map, class Fn>
+void for_series(const Map& m, const std::string& series, bool prefix, Fn fn) {
+  for (auto it = m.lower_bound(series);
+       it != m.end() && it->first.starts_with(series); ++it) {
+    if (!prefix && it->first != series) break;
+    fn(it->second);
+  }
 }
 
 }  // namespace
+
+// --- the window engine -------------------------------------------------------
+
+SampleWindow cut_window(
+    const MetricsSnapshot& prev, const MetricsSnapshot& cur, TimeNs start_ns,
+    TimeNs end_ns, const std::function<bool(std::string_view)>& keep) {
+  // Snapshots iterate in name order, so every insert is at the end.
+  SampleWindow w{start_ns, end_ns, {}, {}, {}};
+  auto& deltas = w.counter_deltas;
+  for (const auto& [name, value] : cur.counters) {
+    if (keep && !keep(name)) continue;
+    const auto it = prev.counters.find(name);
+    const std::uint64_t before = it == prev.counters.end() ? 0 : it->second;
+    deltas.emplace_hint(deltas.end(), name,
+                        value >= before ? value - before : value);
+  }
+  for (const auto& [name, level] : cur.gauges) {
+    if (!keep || keep(name)) w.gauges.emplace_hint(w.gauges.end(), name, level);
+  }
+  for (const auto& [name, h] : cur.histograms) {
+    if (keep && !keep(name)) continue;
+    const auto it = prev.histograms.find(name);
+    w.histogram_deltas.emplace_hint(
+        w.histogram_deltas.end(), name,
+        it == prev.histograms.end() ? h : histogram_minus(h, it->second));
+  }
+  return w;
+}
+
+WindowSpan WindowSpan::trailing(std::span<const SampleWindow> all,
+                                TimeNs span_ns) {
+  std::size_t n = 0;
+  TimeNs elapsed = 0;
+  while (n < all.size() && (n == 0 || elapsed < span_ns)) {
+    elapsed += all[all.size() - ++n].elapsed_ns();
+  }
+  return {all.last(n)};
+}
+
+WindowSpan WindowSpan::overlapping(std::span<const SampleWindow> all,
+                                   TimeNs since_ns, TimeNs until_ns) {
+  const auto overlaps = [&](const SampleWindow& w) {
+    return w.end_ns > since_ns && w.start_ns < until_ns;
+  };
+  // Time-ordered windows overlap the span in one contiguous run.
+  const auto first = std::find_if(all.begin(), all.end(), overlaps);
+  return {{first, std::find_if_not(first, all.end(), overlaps)}};
+}
+
+std::uint64_t WindowSpan::counter_delta(std::string_view series,
+                                        bool prefix) const {
+  const std::string key(series);
+  std::uint64_t delta = 0;
+  for (const SampleWindow& w : windows) {
+    for_series(w.counter_deltas, key, prefix, [&](auto d) { delta += d; });
+  }
+  return delta;
+}
+
+std::map<std::string, std::uint64_t> WindowSpan::counter_delta_by_key(
+    std::string_view prefix) const {
+  std::map<std::string, std::uint64_t> by_key;
+  for (const SampleWindow& w : windows) {
+    for (auto it = w.counter_deltas.upper_bound(std::string(prefix));
+         it != w.counter_deltas.end() && it->first.starts_with(prefix); ++it) {
+      const std::string_view key =
+          std::string_view(it->first).substr(prefix.size());
+      by_key[std::string(key.substr(0, key.find('.')))] += it->second;
+    }
+  }
+  return by_key;
+}
+
+double WindowSpan::rate(std::string_view series, bool prefix) const {
+  TimeNs elapsed = 0;
+  for (const SampleWindow& w : windows) elapsed += w.elapsed_ns();
+  if (elapsed <= 0) return 0.0;
+  return static_cast<double>(counter_delta(series, prefix)) *
+         static_cast<double>(kNsPerSec) / static_cast<double>(elapsed);
+}
+
+double WindowSpan::peak_rate(std::string_view series, bool prefix) const {
+  double peak = 0.0;
+  for (const SampleWindow& w : windows) {
+    peak = std::max(peak, WindowSpan{{&w, 1}}.rate(series, prefix));
+  }
+  return peak;
+}
+
+HistogramSnapshot WindowSpan::histogram_delta(std::string_view series) const {
+  const std::string key(series);
+  HistogramSnapshot merged;
+  for (const SampleWindow& w : windows) {
+    for_series(w.histogram_deltas, key, false,
+               [&](const HistogramSnapshot& h) { merged.merge(h); });
+  }
+  return merged;
+}
+
+std::optional<double> WindowSpan::percentile(std::string_view series,
+                                             double q) const {
+  const HistogramSnapshot h = histogram_delta(series);
+  if (h.count == 0) return std::nullopt;
+  return h.percentile(q);
+}
+
+std::optional<std::int64_t> WindowSpan::gauge_level(std::string_view series,
+                                                    bool prefix) const {
+  const std::string key(series);
+  for (auto w = windows.rbegin(); w != windows.rend(); ++w) {
+    std::optional<std::int64_t> best;
+    for_series(w->gauges, key, prefix,
+               [&](std::int64_t v) { best = std::max(best.value_or(v), v); });
+    if (best) return best;
+  }
+  return std::nullopt;
+}
+
+// --- WindowedSampler ---------------------------------------------------------
 
 WindowedSampler::WindowedSampler(const MetricsRegistry& source,
                                  const Clock& clock,
@@ -62,10 +189,6 @@ bool WindowedSampler::poll() {
   if (now - last_end_ns_.load(std::memory_order_relaxed) < cfg_.period_ns) {
     return false;
   }
-  return sample(now);
-}
-
-bool WindowedSampler::sample(TimeNs now) {
   // Snapshot before taking the sampler lock: snapshot() walks every
   // attached source under the registry lock (possibly including this
   // sampler and an alert engine), so the sampler lock stays a leaf.
@@ -75,156 +198,59 @@ bool WindowedSampler::sample(TimeNs now) {
   const TimeNs start = last_end_ns_.load(std::memory_order_relaxed);
   if (now - start < cfg_.period_ns) return false;  // lost a poll() race
 
-  if (!have_prev_) {
-    // First sample baselines only: deltas need two snapshots.
-    prev_ = std::move(cur);
-    have_prev_ = true;
-    last_end_ns_.store(now, std::memory_order_relaxed);
-    return false;
-  }
-
-  const auto keep = [this](const std::string& name) {
-    return !cfg_.series_filter || cfg_.series_filter(name);
-  };
-  SampleWindow w;
-  w.start_ns = start;
-  w.end_ns = now;
-  for (const auto& [name, value] : cur.counters) {
-    if (!keep(name)) continue;
-    const auto it = prev_.counters.find(name);
-    const std::uint64_t before = it == prev_.counters.end() ? 0 : it->second;
-    w.counter_deltas[name] = value >= before ? value - before : value;
-  }
-  for (const auto& [name, level] : cur.gauges) {
-    if (keep(name)) w.gauges[name] = level;
-  }
-  for (const auto& [name, h] : cur.histograms) {
-    if (!keep(name)) continue;
-    const auto it = prev_.histograms.find(name);
-    w.histogram_deltas[name] =
-        it == prev_.histograms.end() ? h : histogram_minus(h, it->second);
-  }
-
-  for (auto& [name, hw] : watermarks_) {
-    const auto it = w.gauges.find(name);
-    const double level =
-        it == w.gauges.end() ? 0.0 : static_cast<double>(it->second);
-    hw = std::max(level, hw * cfg_.watermark_decay);
-  }
-
-  ring_.push_back(std::move(w));
-  while (ring_.size() > cfg_.ring_capacity) ring_.pop_front();
-  prev_ = std::move(cur);
-  ++windows_sampled_;
-  last_end_ns_.store(now, std::memory_order_relaxed);
-  return true;
-}
-
-double WindowedSampler::rate_locked(std::string_view series, TimeNs span_ns,
-                                    bool prefix) const {
-  std::uint64_t delta = 0;
-  TimeNs elapsed = 0;
-  for (auto it = ring_.rbegin(); it != ring_.rend(); ++it) {
-    for (const auto& [name, d] : it->counter_deltas) {
-      if (matches(name, series, prefix)) delta += d;
+  // The first sample baselines only: deltas need two snapshots.
+  const bool cut = std::exchange(have_prev_, true);
+  if (cut) {
+    SampleWindow w = cut_window(prev_, cur, start, now, cfg_.series_filter);
+    for (auto& [name, hw] : watermarks_) {
+      const auto it = w.gauges.find(name);
+      const double level =
+          it == w.gauges.end() ? 0.0 : static_cast<double>(it->second);
+      hw = std::max(level, hw * cfg_.watermark_decay);
     }
-    elapsed += it->elapsed_ns();
-    if (elapsed >= span_ns) break;
+    if (ring_.size() == cfg_.ring_capacity) ring_.erase(ring_.begin());
+    ring_.push_back(std::move(w));
+    ++windows_sampled_;
   }
-  if (elapsed <= 0) return 0.0;
-  return static_cast<double>(delta) * static_cast<double>(kNsPerSec) /
-         static_cast<double>(elapsed);
+  prev_ = std::move(cur);
+  last_end_ns_.store(now, std::memory_order_relaxed);
+  return cut;
 }
 
 double WindowedSampler::rate(std::string_view series, TimeNs span_ns,
                              bool prefix) const {
   std::lock_guard<std::mutex> lock(mu_);
-  return rate_locked(series, span_ns, prefix);
+  return WindowSpan::trailing(ring_, span_ns).rate(series, prefix);
 }
 
 double WindowedSampler::peak_rate(std::string_view series, bool prefix) const {
   std::lock_guard<std::mutex> lock(mu_);
-  double peak = 0.0;
-  for (const SampleWindow& w : ring_) {
-    if (w.elapsed_ns() <= 0) continue;
-    std::uint64_t delta = 0;
-    for (const auto& [name, d] : w.counter_deltas) {
-      if (matches(name, series, prefix)) delta += d;
-    }
-    peak = std::max(peak, static_cast<double>(delta) *
-                              static_cast<double>(kNsPerSec) /
-                              static_cast<double>(w.elapsed_ns()));
-  }
-  return peak;
-}
-
-std::uint64_t WindowedSampler::counter_delta_locked(std::string_view series,
-                                                    TimeNs span_ns,
-                                                    bool prefix) const {
-  std::uint64_t delta = 0;
-  TimeNs elapsed = 0;
-  for (auto it = ring_.rbegin(); it != ring_.rend(); ++it) {
-    for (const auto& [name, d] : it->counter_deltas) {
-      if (matches(name, series, prefix)) delta += d;
-    }
-    elapsed += it->elapsed_ns();
-    if (elapsed >= span_ns) break;
-  }
-  return delta;
+  return WindowSpan{ring_}.peak_rate(series, prefix);
 }
 
 std::uint64_t WindowedSampler::counter_delta(std::string_view series,
                                              TimeNs span_ns,
                                              bool prefix) const {
   std::lock_guard<std::mutex> lock(mu_);
-  return counter_delta_locked(series, span_ns, prefix);
-}
-
-HistogramSnapshot WindowedSampler::histogram_delta_locked(
-    std::string_view series, TimeNs span_ns) const {
-  HistogramSnapshot merged;
-  TimeNs elapsed = 0;
-  for (auto it = ring_.rbegin(); it != ring_.rend(); ++it) {
-    if (const auto h = it->histogram_deltas.find(std::string(series));
-        h != it->histogram_deltas.end()) {
-      merged.merge(h->second);
-    }
-    elapsed += it->elapsed_ns();
-    if (elapsed >= span_ns) break;
-  }
-  return merged;
+  return WindowSpan::trailing(ring_, span_ns).counter_delta(series, prefix);
 }
 
 HistogramSnapshot WindowedSampler::histogram_delta(std::string_view series,
                                                    TimeNs span_ns) const {
   std::lock_guard<std::mutex> lock(mu_);
-  return histogram_delta_locked(series, span_ns);
+  return WindowSpan::trailing(ring_, span_ns).histogram_delta(series);
 }
 
 std::optional<double> WindowedSampler::windowed_percentile(
     std::string_view series, double q, TimeNs span_ns) const {
   std::lock_guard<std::mutex> lock(mu_);
-  const HistogramSnapshot h = histogram_delta_locked(series, span_ns);
-  if (h.count == 0) return std::nullopt;
-  return h.percentile(q);
+  return WindowSpan::trailing(ring_, span_ns).percentile(series, q);
 }
 
 std::optional<std::int64_t> WindowedSampler::gauge_level(
     std::string_view series, bool prefix) const {
   std::lock_guard<std::mutex> lock(mu_);
-  if (ring_.empty()) return std::nullopt;
-  const SampleWindow& w = ring_.back();
-  if (!prefix) {
-    const auto it = w.gauges.find(std::string(series));
-    if (it == w.gauges.end()) return std::nullopt;
-    return it->second;
-  }
-  std::optional<std::int64_t> best;
-  for (const auto& [name, v] : w.gauges) {
-    if (!matches(name, series, true)) continue;
-    if (!best || v > *best) best = v;
-  }
-  return best;
+  return WindowSpan::trailing(ring_, 0).gauge_level(series, prefix);
 }
 
 double WindowedSampler::watermark(std::string_view series) const {
@@ -279,18 +305,18 @@ void WindowedSampler::collect_metrics(MetricSink& sink) const {
   for (const std::string& series : rate_tracked_) {
     const bool prefix = !series.empty() && series.back() == '.';
     sink.gauge(derived_name(series, "rate_1s"),
-               std::llround(rate_locked(series, kNsPerSec, prefix)));
+               std::llround(
+                   WindowSpan::trailing(ring_, kNsPerSec).rate(series, prefix)));
     sink.gauge(derived_name(series, "rate_10s"),
-               std::llround(rate_locked(series, 10 * kNsPerSec, prefix)));
+               std::llround(WindowSpan::trailing(ring_, 10 * kNsPerSec)
+                                .rate(series, prefix)));
   }
   for (const std::string& series : pct_tracked_) {
     const HistogramSnapshot h =
-        histogram_delta_locked(series, 10 * kNsPerSec);
+        WindowSpan::trailing(ring_, 10 * kNsPerSec).histogram_delta(series);
     if (h.count == 0) continue;
-    sink.gauge(derived_name(series, "windowed_p50"),
-               std::llround(h.percentile(0.50)));
-    sink.gauge(derived_name(series, "windowed_p99"),
-               std::llround(h.percentile(0.99)));
+    sink.gauge(derived_name(series, "windowed_p50"), h.percentile_i64(0.50));
+    sink.gauge(derived_name(series, "windowed_p99"), h.percentile_i64(0.99));
   }
   for (const auto& [series, hw] : watermarks_) {
     sink.gauge(derived_name(series, "high_watermark"), std::llround(hw));

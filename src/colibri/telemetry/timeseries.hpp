@@ -6,9 +6,9 @@
 // *windowed* percentiles ("p99 over the last ten seconds", not since
 // process start). WindowedSampler provides both without touching any
 // fast path: it periodically snapshots a MetricsRegistry into a
-// fixed-size ring of per-window deltas — counter deltas, bucket-wise
+// bounded ring of per-window deltas — counter deltas, bucket-wise
 // histogram deltas, gauge levels — and answers rate/percentile/
-// watermark queries from the ring.
+// watermark queries from the ring through the window engine below.
 //
 // Sampling is Clock-driven, never thread-driven: the owner calls
 // poll() at whatever cadence it likes, and a window is cut only when
@@ -30,13 +30,13 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <limits>
 #include <map>
 #include <mutex>
 #include <optional>
 #include <set>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -78,6 +78,51 @@ struct SampleWindow {
   std::map<std::string, HistogramSnapshot> histogram_deltas;
 };
 
+// --- the window engine ---------------------------------------------------
+// The one place that cuts a window and answers a span query, for the
+// sampler, the history store and the fleet collector.
+
+// The window [start_ns, end_ns) from `prev` to `cur` over the series
+// `keep` passes (nullptr: all); a series absent from `prev` counts from
+// zero.
+SampleWindow cut_window(
+    const MetricsSnapshot& prev, const MetricsSnapshot& cur, TimeNs start_ns,
+    TimeNs end_ns,
+    const std::function<bool(std::string_view)>& keep = nullptr);
+
+// The windows one span query reads, selected from a time-ordered
+// sequence in one of two ways:
+//  * trailing: the newest windows whose summed elapsed time covers
+//    `span_ns`, at least the newest one (sampler and fleet);
+//  * overlapping: the half-open [since_ns, until_ns) — a window ending
+//    at `since` or starting at `until` is out, so adjacent spans
+//    partition the timeline (history store).
+// `prefix` sums (gauges: maxes) every series whose name starts with
+// `series`.
+struct WindowSpan {
+  std::span<const SampleWindow> windows;  // oldest first
+
+  static WindowSpan trailing(std::span<const SampleWindow> all,
+                             TimeNs span_ns);
+  static WindowSpan overlapping(std::span<const SampleWindow> all,
+                                TimeNs since_ns, TimeNs until_ns);
+
+  std::uint64_t counter_delta(std::string_view series,
+                              bool prefix = false) const;
+  // Per-name-segment sums under `prefix` ("res.7.bytes": key "7").
+  std::map<std::string, std::uint64_t> counter_delta_by_key(
+      std::string_view prefix) const;
+  // Summed delta per second of summed elapsed time; peak: of one window.
+  double rate(std::string_view series, bool prefix = false) const;
+  double peak_rate(std::string_view series, bool prefix = false) const;
+  HistogramSnapshot histogram_delta(std::string_view series) const;
+  // nullopt when the series recorded nothing in the span.
+  std::optional<double> percentile(std::string_view series, double q) const;
+  // Level in the newest window of the span that holds the series.
+  std::optional<std::int64_t> gauge_level(std::string_view series,
+                                          bool prefix = false) const;
+};
+
 class WindowedSampler : public MetricsSource {
  public:
   // Samples `source`; derived gauges export through `export_registry`
@@ -100,10 +145,9 @@ class WindowedSampler : public MetricsSource {
   bool poll();
 
   // --- queries -----------------------------------------------------------
-  // Every query walks the ring newest-to-oldest until the summed
-  // elapsed time covers `span_ns` (kSpanAll = the whole ring), so a
-  // "rate over 10 s" is exact regardless of how long individual
-  // windows ran.
+  // Every query reads WindowSpan::trailing(ring, span_ns) (kSpanAll =
+  // the whole ring), so a "rate over 10 s" is exact regardless of how
+  // long individual windows ran.
   static constexpr TimeNs kSpanAll = std::numeric_limits<TimeNs>::max();
 
   // Per-second rate of a counter over the span. `prefix` sums every
@@ -155,14 +199,6 @@ class WindowedSampler : public MetricsSource {
   void collect_metrics(MetricSink& sink) const override;
 
  private:
-  bool sample(TimeNs now);
-  double rate_locked(std::string_view series, TimeNs span_ns,
-                     bool prefix) const;
-  std::uint64_t counter_delta_locked(std::string_view series, TimeNs span_ns,
-                                     bool prefix) const;
-  HistogramSnapshot histogram_delta_locked(std::string_view series,
-                                           TimeNs span_ns) const;
-
   const MetricsRegistry* source_;
   const Clock* clock_;
   WindowedSamplerConfig cfg_;
@@ -174,7 +210,7 @@ class WindowedSampler : public MetricsSource {
   mutable std::mutex mu_;
   MetricsSnapshot prev_;       // snapshot the next window deltas against
   bool have_prev_ = false;
-  std::deque<SampleWindow> ring_;  // oldest first
+  std::vector<SampleWindow> ring_;  // oldest first
   std::uint64_t windows_sampled_ = 0;
   std::set<std::string, std::less<>> rate_tracked_;
   std::set<std::string, std::less<>> pct_tracked_;

@@ -11,12 +11,14 @@ namespace {
 
 // Trace-event timestamps are microseconds; keep ns resolution as
 // fractional digits.
+// The sign is written on its own: -500 ns is "-0.500", not "0.500".
 std::string micros(std::int64_t ns) {
+  const std::uint64_t mag = ns < 0 ? 0 - static_cast<std::uint64_t>(ns)
+                                   : static_cast<std::uint64_t>(ns);
   char buf[48];
-  std::snprintf(buf, sizeof(buf), "%lld.%03lld",
-                static_cast<long long>(ns / 1000),
-                static_cast<long long>(ns % 1000 < 0 ? -(ns % 1000)
-                                                     : ns % 1000));
+  std::snprintf(buf, sizeof(buf), "%s%llu.%03llu", ns < 0 ? "-" : "",
+                static_cast<unsigned long long>(mag / 1000),
+                static_cast<unsigned long long>(mag % 1000));
   return buf;
 }
 

@@ -5,6 +5,7 @@
 
 #include "colibri/app/testbed.hpp"
 #include "colibri/cserv/distributed.hpp"
+#include "colibri/cserv/renewal_manager.hpp"
 
 namespace colibri::cserv {
 namespace {
@@ -348,6 +349,33 @@ TEST_F(EerTest, RemoteAdvertsAreCached) {
   EXPECT_LT(after_second - after_first, after_first - before);
 }
 
+// At the default 300 s SegR lifetime, renewed SegRs outlive the
+// adverts a source cached for their first versions. A later lookup for
+// a destination under the same core re-caches that core's live
+// down-SegR; the core SegRs must still be fetched again, not shadowed
+// by it, or every cross-ISD setup from the source fails.
+TEST_F(EerTest, CachedDownSegrDoesNotShadowExpiredCoreSegrs) {
+  std::vector<std::unique_ptr<RenewalManager>> renewals;
+  for (const AsId as : bed_.topology().as_ids()) {
+    renewals.push_back(std::make_unique<RenewalManager>(bed_.cserv(as)));
+    renewals.back()->manage_all_local();
+  }
+  const AsId src{1, 110}, same_core{1, 111}, other_isd{2, 210};
+  ASSERT_FALSE(bed_.cserv(src).lookup_chains(other_isd).empty());
+
+  // Past the first versions' expiry; renewal keeps every SegR live.
+  for (int s = 0; s < 330; s += 10) {
+    clock_.advance(10 * kNsPerSec);
+    for (auto& r : renewals) r->tick(clock_.now_sec());
+    bed_.tick_all();
+  }
+  ASSERT_FALSE(bed_.cserv(src).lookup_chains(same_core).empty());
+  EXPECT_FALSE(bed_.cserv(src).lookup_chains(other_isd).empty());
+  auto session = bed_.daemon(src).open_session(
+      other_isd, HostAddr::from_u64(1), HostAddr::from_u64(2), 100, 1'000);
+  EXPECT_TRUE(session.ok()) << errc_name(session.error());
+}
+
 TEST_F(CservTest, ForgedRequestRejected) {
   // Craft a SegReq whose MACs are garbage: every on-path AS must refuse.
   const AsId src{1, 110};
@@ -384,7 +412,7 @@ TEST_F(CservTest, ForgedRequestRejected) {
   ASSERT_NE(resp, nullptr);
   EXPECT_FALSE(resp->success);
   EXPECT_EQ(resp->fail_code, Errc::kAuthFailed);
-  EXPECT_EQ(bed_.cserv(seg.hops[1].as).stats().auth_failures, 1u);
+  EXPECT_EQ(bed_.cserv(seg.hops[1].as).snapshot().auth_failures, 1u);
 }
 
 TEST(DistributedCservTest, RoutesBySegrConsistently) {

@@ -193,6 +193,34 @@ TEST(HistoryStoreTest, QueriesAgreeWithLiveSampler) {
             10u + 20u + 30u + 40u + 50u);
 }
 
+// Every span query reads the same half-open [since, until): a window
+// ending at `since` or starting at `until` is outside the span, gauges
+// included.
+TEST(HistoryStoreTest, GaugeLevelUsesTheHalfOpenSpanOfEveryQuery) {
+  MemoryHistoryBackend backend;
+  HistoryStore store(backend);
+  SampleWindow a, b;
+  a.start_ns = 0;
+  a.end_ns = 10;
+  a.gauges["g"] = 1;
+  a.counter_deltas["c"] = 3;
+  b.start_ns = 10;
+  b.end_ns = 20;
+  b.gauges["g"] = 2;
+  b.counter_deltas["c"] = 4;
+  store.append(a);
+  store.append(b);
+
+  EXPECT_EQ(store.gauge_level("g", 0, 10), 1);
+  EXPECT_EQ(store.gauge_level("g", 10, 20), 2);
+  EXPECT_EQ(store.gauge_level("g", 0, 20), 2);
+  EXPECT_EQ(store.gauge_level("g", 20, 30), std::nullopt);
+  EXPECT_EQ(store.counter_delta("c", 0, 10), 3u);
+  EXPECT_EQ(store.counter_delta("c", 10, 20), 4u);
+  EXPECT_EQ(store.counter_delta("c", 0, 10) + store.counter_delta("c", 10, 20),
+            store.counter_delta("c", 0, 20));
+}
+
 TEST(HistoryStoreTest, RotatesBySizeAndCompactsByCount) {
   MemoryHistoryBackend backend;
   HistoryConfig cfg;
@@ -513,6 +541,25 @@ TEST(IncidentRecorderTest, FiringEdgeCapturesABundleNamingTheRule) {
   g.set(0);
   rig.step();
   EXPECT_EQ(rec.bundle_count(), 1u);
+}
+
+// An incident window exports an overflow-bucket percentile as the
+// bucket bound saturated at INT64_MAX (the field is i64).
+TEST(IncidentRecorderTest, OverflowBucketPercentileSaturatesInTheWindow) {
+  IncidentRig rig;
+  IncidentRecorder rec(rig.engine);
+  rec.set_sampler(&rig.sampler);
+  auto& h = rig.registry.histogram("test.huge_ns");
+  rig.step();  // baseline
+  h.record(UINT64_MAX);
+  rig.registry.gauge("test.level").set(5);
+  rig.step();  // the rule fires on the first window
+  ASSERT_EQ(rec.bundle_count(), 1u);
+  EXPECT_NE(rec.bundles()[0].json.find(
+                R"("test.huge_ns":{"count":1,"sum":18446744073709551615,)"
+                R"("p50":9223372036854775807,"p99":9223372036854775807})"),
+            std::string::npos)
+      << rec.bundles()[0].json;
 }
 
 TEST(IncidentRecorderTest, DebounceFoldsAStormIntoOneBundle) {

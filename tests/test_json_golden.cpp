@@ -156,6 +156,7 @@ std::string golden_perfetto() {
                  {{"k", "v\"q"}, {"n", "\x01"}});
   b.add_complete(t, "negative-dur", "cat", 0, -5);
   b.add_instant(b.track("proc \"A\"", "other"), "tick", "evt", 1'234'567);
+  b.add_instant(b.track("proc \"A\"", "other"), "early", "evt", -500);
   b.add_flow_start(t, 7, 100);
   b.add_flow_finish(b.track("proc B", "t"), kU64Max, 300);
   b.add_span_trace(golden_span_trace(), "bus", "setup: 1-110");
@@ -353,6 +354,8 @@ TEST(JsonGoldenTest, PerfettoMetadataAndEveryPhase) {
             R"js(:"X","dur":0.000,"args":{}},)js" "\n"
             R"js({"name":"tick","cat":"evt","pid":1,"tid":2,"ts":1234.567,"ph":"i",)js"
             R"js("s":"t","args":{}},)js" "\n"
+            R"js({"name":"early","cat":"evt","pid":1,"tid":2,"ts":-0.500,"ph":"i",")js"
+            R"js(s":"t","args":{}},)js" "\n"
             R"js({"name":"hop","cat":"trace","pid":1,"tid":1,"ts":0.100,"ph":"s","i)js"
             R"js(d":7},)js" "\n"
             R"js({"name":"hop","cat":"trace","pid":2,"tid":3,"ts":0.300,"ph":"f","b)js"

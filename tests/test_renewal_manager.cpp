@@ -47,14 +47,14 @@ TEST_F(RenewalManagerTest, RenewsAheadOfExpiryAndActivates) {
 
   // Within the lead window nothing happens...
   mgr.tick(clock_.now_sec());
-  EXPECT_EQ(mgr.stats().renewed, 0u);
+  EXPECT_EQ(mgr.snapshot().renewed, 0u);
 
   // ...but inside it, every managed SegR is renewed and activated.
   clock_.advance(static_cast<TimeNs>(first_expiry - 30 - clock_.now_sec()) *
                  kNsPerSec);
   mgr.tick(clock_.now_sec());
-  EXPECT_EQ(mgr.stats().renewed, mgr.managed());
-  EXPECT_EQ(mgr.stats().activated, mgr.managed());
+  EXPECT_EQ(mgr.snapshot().renewed, mgr.managed());
+  EXPECT_EQ(mgr.snapshot().activated, mgr.managed());
 
   const auto renewed = bed_.cserv(src).db().segr_copy(any_key);
   ASSERT_TRUE(renewed.has_value());
@@ -96,8 +96,8 @@ TEST_F(RenewalManagerTest, PlanBucketsDueKeysByShardInOrder) {
 
   // The tick drains exactly those batches and reports them.
   mgr.tick(clock_.now_sec());
-  EXPECT_EQ(mgr.stats().renewed, managed);
-  EXPECT_EQ(mgr.stats().batches, batches.size());
+  EXPECT_EQ(mgr.snapshot().renewed, managed);
+  EXPECT_EQ(mgr.snapshot().batches, batches.size());
 }
 
 TEST_F(RenewalManagerTest, WhitelistSurvivesVersionBump) {
@@ -114,7 +114,7 @@ TEST_F(RenewalManagerTest, WhitelistSurvivesVersionBump) {
   mgr.manage(key);
   clock_.advance(260 * kNsPerSec);  // inside the 60 s lead window
   mgr.tick(clock_.now_sec());
-  ASSERT_GE(mgr.stats().activated, 1u);
+  ASSERT_GE(mgr.snapshot().activated, 1u);
 
   auto advert = bed_.cserv(src).registry().find(key);
   ASSERT_TRUE(advert.has_value());

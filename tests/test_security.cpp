@@ -173,7 +173,7 @@ TEST_F(SecurityTest, RequestFloodRateLimited) {
 // check each and never reach admission.
 TEST_F(SecurityTest, ForgedControlPlaneFilteredCheaply) {
   const AsId target{1, 100};
-  const auto before = bed_.cserv(target).stats();
+  const auto before = bed_.cserv(target).snapshot();
 
   proto::SegRequest msg;
   msg.seg_type = topology::SegType::kUp;
@@ -196,7 +196,7 @@ TEST_F(SecurityTest, ForgedControlPlaneFilteredCheaply) {
   append_bytes(framed, proto::encode_packet(pkt));
   for (int i = 0; i < 100; ++i) (void)bed_.bus().call(target, framed);
 
-  const auto after = bed_.cserv(target).stats();
+  const auto after = bed_.cserv(target).snapshot();
   EXPECT_EQ(after.auth_failures - before.auth_failures, 100u);
   EXPECT_EQ(after.seg_granted, before.seg_granted);  // none admitted
 }

@@ -69,6 +69,32 @@ TEST(WindowedSamplerTest, FirstSampleBaselinesAndSecondCutsAWindow) {
   EXPECT_DOUBLE_EQ(sampler.rate("test.requests", kSec), 40.0);
 }
 
+// A value in the overflow bucket: its percentile exports as the
+// bucket's integer bound, u64 in the metrics JSON and saturated at
+// INT64_MAX in the i64 derived gauges.
+TEST(WindowedSamplerTest, OverflowBucketPercentilesExportTheBucketBound) {
+  SimClock clock(0);
+  MetricsRegistry registry;
+  auto& h = registry.histogram("test.huge_ns");
+  h.record(UINT64_MAX);
+  EXPECT_EQ(registry.snapshot().to_json(),
+            R"({"counters":{},"gauges":{},"histograms":{"test.huge_ns":{)"
+            R"("count":1,"sum":18446744073709551615,)"
+            R"("p50":18446744073709551615,"p99":18446744073709551615,)"
+            R"("buckets":[[18446744073709551615,1]]}}})");
+
+  WindowedSampler sampler(registry, clock, one_sec_windows(), &registry);
+  sampler.track_percentiles("test.huge_ns");
+  clock.advance(kSec);
+  sampler.poll();  // baseline
+  h.record(UINT64_MAX);
+  clock.advance(kSec);
+  ASSERT_TRUE(sampler.poll());
+  const auto snap = registry.snapshot();
+  EXPECT_EQ(snap.gauges.at("test.huge_ns.windowed_p50"), INT64_MAX);
+  EXPECT_EQ(snap.gauges.at("test.huge_ns.windowed_p99"), INT64_MAX);
+}
+
 TEST(WindowedSamplerTest, RateDividesByRealElapsedTimeNotNominalPeriod) {
   SimClock clock(0);
   MetricsRegistry registry;
