@@ -34,7 +34,7 @@ int main() {
                   std::chrono::duration_cast<std::chrono::milliseconds>(t1 - t0)
                       .count()));
 
-  const std::uint64_t msgs_before = bed.bus().message_count();
+  const std::uint64_t msgs_before = bed.bus().snapshot().messages;
   const size_t provisioned = bed.provision_all_segments(100, 1'000'000);
   const auto t2 = std::chrono::steady_clock::now();
   std::printf("provisioned %zu SegRs in %lld ms (%llu control messages, "
@@ -43,9 +43,9 @@ int main() {
               static_cast<long long>(
                   std::chrono::duration_cast<std::chrono::milliseconds>(t2 - t1)
                       .count()),
-              static_cast<unsigned long long>(bed.bus().message_count() -
+              static_cast<unsigned long long>(bed.bus().snapshot().messages -
                                               msgs_before),
-              static_cast<double>(bed.bus().message_count() - msgs_before) /
+              static_cast<double>(bed.bus().snapshot().messages - msgs_before) /
                   static_cast<double>(provisioned ? provisioned : 1));
 
   // Random host pairs across ISDs open reservations.
@@ -61,8 +61,10 @@ int main() {
     const AsId dst = leaves[rng.below(leaves.size())];
     if (src == dst || src.isd() == dst.isd()) continue;
     ++attempted;
-    auto session = bed.daemon(src).open_session(
-        dst, HostAddr::from_u64(host++), HostAddr::from_u64(host++), 10, 500);
+    const HostAddr src_host = HostAddr::from_u64(host++);
+    const HostAddr dst_host = HostAddr::from_u64(host++);
+    auto session =
+        bed.daemon(src).open_session(dst, src_host, dst_host, 10, 500);
     established += session.ok();
   }
   const auto t3 = std::chrono::steady_clock::now();

@@ -151,6 +151,21 @@ for preset in "${PRESETS[@]}"; do
     forensics_dir=$(mktemp -d /tmp/colibri_forensics.XXXXXX)
     "$OBS" watch --once --scenario=failover --forensics-dir="$forensics_dir" \
       > /dev/null
+    # Same seed, same trail: a second run writes byte-identical history
+    # segments and incident bundles (wall-clock series are filtered out).
+    forensics_twin=$(mktemp -d /tmp/colibri_forensics.XXXXXX)
+    "$OBS" watch --once --scenario=failover --forensics-dir="$forensics_twin" \
+      > /dev/null
+    (cd "$forensics_dir" && find history incidents -type f | sort) \
+      > "$forensics_twin/files.a"
+    (cd "$forensics_twin" && find history incidents -type f | sort) \
+      > "$forensics_twin/files.b"
+    cmp "$forensics_twin/files.a" "$forensics_twin/files.b"
+    [ -s "$forensics_twin/files.a" ]
+    while read -r f; do
+      cmp "$forensics_dir/$f" "$forensics_twin/$f"
+    done < "$forensics_twin/files.a"
+    rm -rf "$forensics_twin"
     # Write → reopen → query: the offline CLI opens the store the
     # scenario just wrote and must recover every frame cleanly.
     "$OBS" incident list --dir="$forensics_dir" \
@@ -175,7 +190,7 @@ for preset in "${PRESETS[@]}"; do
     [ "$whole" -eq $((before + after)) ]
     "$OBS" history rate --series=router.forwarded --dir="$forensics_dir" \
       > /dev/null
-    "$OBS" history p99 --series=cserv.request_latency_ns \
+    "$OBS" history p99 --series=cserv.failover.latency_ns \
       --dir="$forensics_dir" > /dev/null
     rm -rf "$forensics_dir"
   fi

@@ -73,33 +73,46 @@ double TransferLedger::total_capped_demand(const ResKey& core) const {
 EerAdmission::EerAdmission(size_t stripes)
     : stripes_(stripes == 0 ? 1 : stripes) {}
 
-namespace {
-
-// Counter arithmetic shared by admit/unwind; min-guarded so a record
-// re-created after a sweep can never underflow its counter.
-void sub_allocated(reservation::SegrRecord* rec, BwKbps amount) {
-  if (rec == nullptr) return;
-  rec->eer_allocated_kbps -= std::min(amount, rec->eer_allocated_kbps);
-}
-
-}  // namespace
-
-void EerAdmission::unwind(reservation::ReservationDb& db,
-                          const Allocation& a) {
-  db.with_segr_pair(
-      a.in_key, a.has_out ? std::optional<ResKey>(a.out_key) : std::nullopt,
-      [&](reservation::SegrRecord* in, reservation::SegrRecord* out) {
-        sub_allocated(in, a.in_allocated);
-        sub_allocated(out, a.out_allocated);
-      });
+void EerAdmission::apply(const Allocation& a, bool add,
+                         reservation::SegrRecord* in,
+                         reservation::SegrRecord* out) {
+  auto adjust = [&](const ResKey& k, BwKbps amount) {
+    reservation::SegrRecord* r = nullptr;
+    if (in != nullptr && in->key == k) r = in;
+    if (out != nullptr && out->key == k) r = out;
+    if (r == nullptr) return;
+    // Min-guarded so a record re-created after a sweep can never
+    // underflow its counter.
+    r->eer_allocated_kbps = add ? r->eer_allocated_kbps + amount
+                                : r->eer_allocated_kbps -
+                                      std::min(amount, r->eer_allocated_kbps);
+  };
+  adjust(a.in_key, a.in_allocated);
+  if (a.has_out) adjust(a.out_key, a.out_allocated);
   if (a.transfer_recorded) {
     std::lock_guard tl(transfer_mu_);
-    transfer_.release(a.up_key, a.up_bw, a.core_key, a.demand, a.granted);
+    if (add) {
+      transfer_.record(a.up_key, a.up_bw, a.core_key, a.demand, a.granted);
+    } else {
+      transfer_.release(a.up_key, a.up_bw, a.core_key, a.demand, a.granted);
+    }
   }
 }
 
+void EerAdmission::replace(reservation::ReservationDb& db,
+                           const Allocation& from, const Allocation& to) {
+  db.with_segr_pair(
+      from.in_key,
+      from.has_out ? std::optional<ResKey>(from.out_key) : std::nullopt,
+      [&](reservation::SegrRecord* in, reservation::SegrRecord* out) {
+        apply(from, /*add=*/false, in, out);
+        apply(to, /*add=*/true, in, out);
+      });
+}
+
 Result<BwKbps> EerAdmission::admit(reservation::ReservationDb& db,
-                                   const Request& req, UnixSec now) {
+                                   const Request& req, UnixSec now,
+                                   Superseded* superseded) {
   (void)now;
   if (!req.segr_in) return Errc::kNoSuchSegment;
 
@@ -117,7 +130,7 @@ Result<BwKbps> EerAdmission::admit(reservation::ReservationDb& db,
       return k == *req.segr_in || (req.segr_out && k == *req.segr_out);
     };
     if (!in_pair(old.in_key) || (old.has_out && !in_pair(old.out_key))) {
-      unwind(db, old);
+      replace(db, old, Allocation{});
       st.allocations.erase(prev);
       prev = st.allocations.end();
     }
@@ -128,47 +141,14 @@ Result<BwKbps> EerAdmission::admit(reservation::ReservationDb& db,
       [&](reservation::SegrRecord* in,
           reservation::SegrRecord* out) -> Result<BwKbps> {
         if (in == nullptr) return Errc::kNoSuchSegment;
-        auto rec_for = [&](const ResKey& k) -> reservation::SegrRecord* {
-          if (in->key == k) return in;
-          if (out != nullptr && out->key == k) return out;
-          return nullptr;
-        };
 
         // Renewal semantics: temporarily give back the EER's current
         // allocation so only the *increase* competes for free bandwidth
         // (all versions share one monitored flow; the max version is what
         // counts, §4.2/§4.8). Both records are locked, so the transient
         // state is invisible to concurrent admissions.
-        Allocation old{};
         const bool had_prev = prev != st.allocations.end();
-        if (had_prev) {
-          old = prev->second;
-          sub_allocated(rec_for(old.in_key), old.in_allocated);
-          if (old.has_out) {
-            sub_allocated(rec_for(old.out_key), old.out_allocated);
-          }
-          if (old.transfer_recorded) {
-            std::lock_guard tl(transfer_mu_);
-            transfer_.release(old.up_key, old.up_bw, old.core_key, old.demand,
-                              old.granted);
-          }
-        }
-        auto reinstate = [&] {
-          if (!had_prev) return;
-          if (auto* r = rec_for(old.in_key)) {
-            r->eer_allocated_kbps += old.in_allocated;
-          }
-          if (old.has_out) {
-            if (auto* r = rec_for(old.out_key)) {
-              r->eer_allocated_kbps += old.out_allocated;
-            }
-          }
-          if (old.transfer_recorded) {
-            std::lock_guard tl(transfer_mu_);
-            transfer_.record(old.up_key, old.up_bw, old.core_key, old.demand,
-                             old.granted);
-          }
-        };
+        if (had_prev) apply(prev->second, /*add=*/false, in, out);
 
         // Availability in each adjacent SegR.
         BwKbps grant = std::min(req.demand_kbps, in->eer_available_kbps());
@@ -189,23 +169,18 @@ Result<BwKbps> EerAdmission::admit(reservation::ReservationDb& db,
         }
 
         if (grant < req.min_bw_kbps || grant == 0) {
-          reinstate();
+          if (had_prev) apply(prev->second, /*add=*/true, in, out);
           return Errc::kBandwidthUnavailable;
         }
 
         Allocation alloc{};
         alloc.in_key = in->key;
         alloc.in_allocated = grant;
-        in->eer_allocated_kbps += grant;
         if (distinct) {
           alloc.out_key = out->key;
           alloc.has_out = true;
           alloc.out_allocated = grant;
-          out->eer_allocated_kbps += grant;
           if (up_core) {
-            std::lock_guard tl(transfer_mu_);
-            transfer_.record(in->key, in->active.bw_kbps, out->key,
-                             req.demand_kbps, grant);
             alloc.transfer_recorded = true;
             alloc.up_key = in->key;
             alloc.core_key = out->key;
@@ -214,19 +189,44 @@ Result<BwKbps> EerAdmission::admit(reservation::ReservationDb& db,
             alloc.granted = grant;
           }
         }
+        apply(alloc, /*add=*/true, in, out);
+        if (had_prev && superseded != nullptr) {
+          superseded->alloc_ = prev->second;
+        }
         st.allocations[req.eer_key] = alloc;
         return grant;
       });
 }
 
-void EerAdmission::release(reservation::ReservationDb& db,
-                           const ResKey& eer_key) {
+void EerAdmission::settle(reservation::ReservationDb& db,
+                          const ResKey& eer_key,
+                          std::optional<BwKbps> final_kbps,
+                          const Superseded& superseded) {
   Stripe& st = stripe(eer_key);
   std::lock_guard slock(st.mu);
   auto it = st.allocations.find(eer_key);
   if (it == st.allocations.end()) return;
-  unwind(db, it->second);
-  st.allocations.erase(it);
+  Allocation next{};  // refused setup: nothing stays
+  if (final_kbps) {
+    next = it->second;
+    next.in_allocated = std::min(next.in_allocated, *final_kbps);
+    next.out_allocated = std::min(next.out_allocated, *final_kbps);
+    next.granted = std::min(next.granted, *final_kbps);
+  } else if (superseded.alloc_) {
+    next = *superseded.alloc_;
+  }
+  if (next == it->second) return;
+  replace(db, it->second, next);
+  if (final_kbps || superseded.alloc_) {
+    it->second = next;
+  } else {
+    st.allocations.erase(it);
+  }
+}
+
+void EerAdmission::release(reservation::ReservationDb& db,
+                           const ResKey& eer_key) {
+  settle(db, eer_key, std::nullopt, Superseded{});
 }
 
 size_t EerAdmission::tracked() const {

@@ -75,6 +75,22 @@ class TransferLedger {
 // transfer AS); the records themselves are resolved against the passed
 // ReservationDb under its shard locks.
 class EerAdmission {
+  // One EER's bookkeeping at this AS.
+  struct Allocation {
+    ResKey in_key;
+    ResKey out_key;
+    bool has_out = false;
+    BwKbps in_allocated = 0;
+    BwKbps out_allocated = 0;
+    // Transfer-ledger contribution (only when in & out are distinct).
+    bool transfer_recorded = false;
+    ResKey up_key, core_key;
+    BwKbps up_bw = 0;
+    BwKbps demand = 0;
+    BwKbps granted = 0;
+    friend bool operator==(const Allocation&, const Allocation&) = default;
+  };
+
  public:
   // `stripes` partitions the allocation bookkeeping for concurrent
   // admits; 1 stripe degenerates to the single-lock behavior.
@@ -92,12 +108,31 @@ class EerAdmission {
     std::optional<ResKey> segr_out;
   };
 
+  // The allocation a renewal's admit() replaced. The on-path handler
+  // holds it across the forward pass (one synchronous call chain) and
+  // hands it back to settle(); it stays empty for a setup.
+  class Superseded {
+   private:
+    friend class EerAdmission;
+    std::optional<Allocation> alloc_;
+  };
+
   // Grants min over the adjacent SegRs' available bandwidth (and the
   // transfer share when two SegRs meet), records the allocation on each
   // SegR counter. A second admit for the same EER key adjusts the
-  // existing allocation (renewal; only the max over versions counts).
+  // existing allocation (renewal) and, with `superseded` set, keeps the
+  // allocation it replaced there.
   Result<BwKbps> admit(reservation::ReservationDb& db, const Request& req,
-                       UnixSec now);
+                       UnixSec now, Superseded* superseded = nullptr);
+
+  // Backward pass of an admitted request (§3.3), O(1). Granted
+  // (`final_kbps` set): the allocation, its SegR counters and its
+  // transfer share shrink to the end-to-end bandwidth. Refused: a
+  // renewal reinstates the allocation it superseded; anything else is
+  // released.
+  void settle(reservation::ReservationDb& db, const ResKey& eer_key,
+              std::optional<BwKbps> final_kbps,
+              const Superseded& superseded);
 
   // Releases an EER's allocation (expiry or teardown). A SegR already
   // swept from the db is skipped — its counters died with it.
@@ -124,19 +159,6 @@ class EerAdmission {
       const std::function<void(const AllocationView&)>& fn) const;
 
  private:
-  struct Allocation {
-    ResKey in_key;
-    ResKey out_key;
-    bool has_out = false;
-    BwKbps in_allocated = 0;
-    BwKbps out_allocated = 0;
-    // Transfer-ledger contribution (only when in & out are distinct).
-    bool transfer_recorded = false;
-    ResKey up_key, core_key;
-    BwKbps up_bw = 0;
-    BwKbps demand = 0;
-    BwKbps granted = 0;
-  };
   struct Stripe {
     mutable std::mutex mu;
     std::unordered_map<ResKey, Allocation> allocations;
@@ -147,9 +169,15 @@ class EerAdmission {
                                                          stripes_.size())];
   }
 
-  // Unwinds `a` against the db + transfer ledger (no stripe-map change);
+  // Adds (or takes back) `a` on the SegR counters among the locked
+  // records `in`/`out` and on the transfer ledger.
+  void apply(const Allocation& a, bool add, reservation::SegrRecord* in,
+             reservation::SegrRecord* out);
+  // Swaps `from` for `to` (whose SegRs are among `from`'s; an empty `to`
+  // unwinds) under one pair lock, without touching the stripe map;
   // caller holds the owning stripe's mutex.
-  void unwind(reservation::ReservationDb& db, const Allocation& a);
+  void replace(reservation::ReservationDb& db, const Allocation& from,
+               const Allocation& to);
 
   TransferLedger transfer_;
   mutable std::mutex transfer_mu_;

@@ -149,6 +149,10 @@ std::string canonical_history(const std::vector<telemetry::Event>& events) {
 
 }  // namespace
 
+bool replayable_series(std::string_view name) {
+  return name != "cserv.request_latency_ns" && name != "bus.hop_latency_ns";
+}
+
 std::optional<ResKey> find_primary_core_segr(Testbed& bed) {
   std::optional<ResKey> primary;
   for (const auto& r : bed.cserv(kC1a).db().segr_snapshot()) {
@@ -216,13 +220,7 @@ ChaosReport run_chaos_universe(const ChaosOptions& opts) {
   telemetry::WindowedSamplerConfig scfg;
   scfg.period_ns = kSec;
   scfg.ring_capacity = 256;  // > every window the run cuts
-  // These histograms time real host execution (steady_clock), so they
-  // never replay byte-identically; keep them out of the forensic trail
-  // so same-seed runs produce identical segments and bundles.
-  scfg.series_filter = [](std::string_view name) {
-    return name != "cserv.request_latency_ns" &&
-           name != "bus.hop_latency_ns";
-  };
+  scfg.series_filter = replayable_series;
   telemetry::WindowedSampler sampler(registry, clock, scfg, &registry);
   sampler.track_rate("cserv.setup.ok");
   telemetry::AlertEngine engine(sampler, clock, &events, &registry);

@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "colibri/common/faults.hpp"
 #include "colibri/common/ids.hpp"
@@ -38,6 +39,13 @@ class Testbed;
 inline constexpr AsId kProtectedLinkA{1, 100};
 inline constexpr AsId kProtectedLinkB{2, 200};
 inline constexpr std::uint64_t kProtectedLinkId = 1;
+
+// Series filter for forensic capture (WindowedSamplerConfig::
+// series_filter): false for the histograms that time real host
+// execution (cserv.request_latency_ns, bus.hop_latency_ns), which never
+// replay the same, so same-seed runs write identical history segments
+// and incident bundles.
+bool replayable_series(std::string_view name);
 
 // The primary of the protection pair: the direct c1a -> c2a core SegR
 // (lowest res_id when several exist). nullopt if provisioning failed.

@@ -140,6 +140,7 @@ ObsArtifacts run_failover_scenario(const ObsOptions& opts) {
   telemetry::WindowedSamplerConfig scfg;
   scfg.period_ns = kNsPerSec;
   scfg.ring_capacity = 256;
+  scfg.series_filter = replayable_series;
   telemetry::WindowedSampler sampler(registry, clock, scfg, &registry);
   sampler.track_rate("gateway.forwarded");
   sampler.track_rate("router.forwarded");

@@ -3,26 +3,7 @@
 #include <algorithm>
 #include <thread>
 
-#include "colibri/common/rand.hpp"
-#include "colibri/crypto/cmac.hpp"
-#include "colibri/crypto/eax.hpp"
-#include "colibri/cserv/wire_internal.hpp"
-#include "colibri/dataplane/hvf.hpp"
-#include "colibri/proto/codec.hpp"
-#include "colibri/proto/messages.hpp"
-
 namespace colibri::app {
-
-namespace {
-
-constexpr std::uint8_t kMacKey[16] = {0x5a, 0x01, 0x02, 0x03, 0x04, 0x05,
-                                      0x06, 0x07, 0x08, 0x09, 0x0a, 0x0b,
-                                      0x0c, 0x0d, 0x0e, 0x0f};
-constexpr std::uint8_t kHopKey[16] = {0xc0, 0x11, 0xb1, 0x21, 0x11, 0x22,
-                                      0x33, 0x44, 0x55, 0x66, 0x77, 0x88,
-                                      0x99, 0xaa, 0xbb, 0xcc};
-
-}  // namespace
 
 RenewalStorm::RenewalStorm(RenewalStormConfig cfg)
     : cfg_(cfg),
@@ -118,139 +99,6 @@ bool RenewalStorm::renew_direct(const ResKey& eer_key, UnixSec now) {
     rec->versions.push_back(ver);
   });
   return true;
-}
-
-RenewalStormStats RenewalStorm::drain_legacy(UnixSec now) {
-  RenewalStormStats st;
-  // One bus round-trip per item over the EER's full path (Fig. 1a): what
-  // every renewal paid before batching. Forward, each on-path AS
-  // re-decodes the request, verifies the initiator's MAC, appends its
-  // own and re-encodes for the next hop. Backward, each AS computes its
-  // hop authenticator (Eq. 4), seals it for the source (Eq. 5), and the
-  // response re-crosses the wire; the initiator opens every seal. All
-  // crypto/codec state is rebuilt per item, matching the per-request
-  // flow of the handlers. The admission decision itself happens at the
-  // owner hop via renew_direct — identical end state to drain_batched.
-  const std::vector<topology::Hop> path = eer_path();
-  Rng rng(0xB10C5);
-  for (const ResKey& eer_key : eer_keys_) {
-    // Initiator: build + MAC the renewal request (Fig. 1a).
-    proto::EerRequest msg;
-    msg.min_bw_kbps = 0;
-    msg.path = path;
-    for (const topology::Hop& h : path) msg.ases.push_back(h.as);
-    proto::Packet pkt;
-    pkt.type = proto::PacketType::kEerRenewal;
-    pkt.is_eer = true;
-    pkt.path = path;
-    pkt.resinfo.src_as = eer_key.src_as;
-    pkt.resinfo.res_id = eer_key.res_id;
-    pkt.resinfo.bw_kbps = cfg_.eer_bw_kbps;
-    pkt.resinfo.exp_time = now + cfg_.renew_lifetime_sec;
-    pkt.resinfo.version = 1;
-    pkt.eerinfo.src_host = HostAddr::from_u64(0x50);
-    pkt.eerinfo.dst_host = HostAddr::from_u64(0xd0);
-    proto::AuthedPayload ap;
-    ap.message = msg;
-    {
-      const Bytes input = proto::auth_input(ap.message, pkt.resinfo);
-      crypto::Cmac cmac(kMacKey);
-      proto::Mac16 mac;
-      cmac.compute(input, mac.data());
-      ap.macs.push_back(mac);
-    }
-    pkt.payload = proto::encode_authed(ap);
-
-    // Forward pass: one wire crossing + handler-side authentication per
-    // on-path AS, each appending its MAC to the chain.
-    Bytes wire = proto::encode_packet(pkt);
-    std::optional<proto::Packet> rpkt;
-    bool ok = true;
-    for (size_t h = 0; ok && h < path.size(); ++h) {
-      rpkt = proto::decode_packet(wire);
-      auto rap = rpkt ? proto::decode_authed(rpkt->payload) : std::nullopt;
-      ok = rap.has_value();
-      if (!ok) break;
-      const Bytes input = proto::auth_input(rap->message, rpkt->resinfo);
-      crypto::Cmac cmac(kMacKey);
-      std::uint8_t tag[crypto::Cmac::kTagSize];
-      cmac.compute(input, tag);
-      ok = crypto::Cmac::verify_prefix(tag, rap->macs[0].data(), sizeof(tag));
-      if (!ok) break;
-      proto::Mac16 mac;
-      cmac.compute(input, mac.data());
-      rap->macs.push_back(mac);
-      rpkt->payload = proto::encode_authed(*rap);
-      wire = proto::encode_packet(*rpkt);
-    }
-
-    ok = ok && renew_direct(eer_key, now);
-    if (!ok) {
-      ++st.failed;
-      continue;
-    }
-
-    // Backward pass: each AS contributes its hop authenticator (Eq. 4)
-    // sealed for the source (Eq. 5) and the response re-crosses the
-    // wire; response codecs re-run at every hop.
-    const proto::ResInfo final_ri = rpkt->resinfo;
-    proto::ControlResponse resp;
-    resp.success = true;
-    resp.final_bw_kbps = cfg_.eer_bw_kbps;
-    std::vector<Bytes> aads;
-    aads.reserve(path.size());
-    Bytes resp_wire;
-    for (size_t h = path.size(); ok && h-- > 0;) {
-      crypto::Aes128 hop_cipher(kHopKey);
-      const dataplane::HopAuth sigma = dataplane::compute_hopauth(
-          hop_cipher, final_ri, rpkt->eerinfo, kNoInterface, kNoInterface);
-      crypto::Eax eax(kMacKey);
-      std::uint8_t nonce[16];
-      rng.fill(nonce, sizeof(nonce));
-      const Bytes aad =
-          cserv::wire::hopauth_aad(final_ri, static_cast<std::uint8_t>(h));
-      aads.push_back(aad);
-      resp.sealed_hopauths.push_back(
-          eax.seal(BytesView(nonce, sizeof(nonce)), aad,
-                   BytesView(sigma.data(), sigma.size())));
-      proto::Packet out;
-      out.type = proto::PacketType::kResponse;
-      out.is_eer = true;
-      out.path = path;
-      out.resinfo = final_ri;
-      proto::AuthedPayload rap_out;
-      rap_out.message = resp;
-      out.payload = proto::encode_authed(rap_out);
-      resp_wire = proto::encode_packet(out);
-      auto hop_pkt = proto::decode_packet(resp_wire);
-      auto hop_ap =
-          hop_pkt ? proto::decode_authed(hop_pkt->payload) : std::nullopt;
-      ok = hop_ap.has_value();
-    }
-
-    // Initiator: unseal every hop's authenticator.
-    auto resp_pkt = ok ? proto::decode_packet(resp_wire) : std::nullopt;
-    auto resp_ap =
-        resp_pkt ? proto::decode_authed(resp_pkt->payload) : std::nullopt;
-    auto* final_resp = resp_ap
-                           ? std::get_if<proto::ControlResponse>(
-                                 &resp_ap->message)
-                           : nullptr;
-    ok = final_resp != nullptr &&
-         final_resp->sealed_hopauths.size() == path.size();
-    for (size_t h = 0; ok && h < path.size(); ++h) {
-      crypto::Eax eax(kMacKey);
-      ok = eax.open(aads[h], final_resp->sealed_hopauths[h]).has_value();
-    }
-    if (!ok) {
-      ++st.failed;
-      continue;
-    }
-    ++st.renewed;
-  }
-  st.batches = eer_keys_.empty() ? 0 : 1;
-  st.max_batch = eer_keys_.size();
-  return st;
 }
 
 RenewalStormStats RenewalStorm::drain_shard_range(UnixSec now,

@@ -3,25 +3,14 @@
 // SegRs set up together expire together: an AS that established its
 // segment infrastructure in one batch sees hundreds of thousands of EER
 // renewals come due in the same 16-second window. This harness builds
-// that workload against the sharded ReservationDb and drains it two
-// ways:
+// that workload against the sharded ReservationDb and drains it in
+// per-shard, ResId-ordered batches straight into the admission ledger —
+// the RenewalManager drain shape, amortizing all per-item envelope work
+// across the batch. The full per-renewal cost through the real bus
+// (codecs, MACs, WAL, seals) is what BM_EerRenewal measures.
 //
-//  - drain_legacy: one bus round-trip per EER over the reservation's
-//    full path (the discipline the pre-sharding RenewalManager used).
-//    Every on-path AS re-decodes the request, verifies the accumulated
-//    MAC chain, appends its own MAC and re-encodes for the next hop; on
-//    the way back each AS computes its hop authenticator (Eq. 4), seals
-//    it for the source (Eq. 5) and the response re-crosses the wire;
-//    the initiator finally opens every seal. This still *understates*
-//    the seed's measured per-renewal cost (BM_EerRenewal through the
-//    real bus: ~61 us/item) — it skips DRKey derivation, WAL appends,
-//    rate limiting and telemetry.
-//  - drain_batched: per-shard, ResId-ordered batches straight into the
-//    admission ledger — the RenewalManager drain shape, amortizing all
-//    per-item envelope work across the batch.
-//
-// bench_scale_controlplane sweeps both over shard count x reservation
-// count; the stress tests drive drain_batched from multiple threads.
+// bench_scale_controlplane sweeps the drain over shard count x
+// reservation count; the stress tests drive it from multiple threads.
 #pragma once
 
 #include <cstdint>
@@ -38,9 +27,8 @@ struct RenewalStormConfig {
   size_t shards = 8;
   // drain_batched parallelism: threads > 1 split the shards round-robin.
   size_t threads = 1;
-  // On-path ASes per EER (hop 0 is the owner). The seed's BM_EerRenewal
-  // chain (up + core + down across two ISDs) crosses 4 ASes; the legacy
-  // drain pays the wire/crypto envelope at every one of them.
+  // On-path ASes per EER (hop 0 is the owner), as BM_EerRenewal's chain
+  // (up + core + down across two ISDs).
   size_t path_hops = 4;
   BwKbps segr_bw_kbps = 40'000'000;
   BwKbps eer_bw_kbps = 100;
@@ -72,10 +60,7 @@ class RenewalStorm {
   // Builds the SegRs and admits every EER, all with the same expiry.
   void populate();
 
-  // Renews every live EER once; see the header comment for the two
-  // drain disciplines. Both leave identical db/admission state for the
-  // same `now` (the equivalence test asserts this).
-  RenewalStormStats drain_legacy(UnixSec now);
+  // Renews every live EER once, shard batch by shard batch.
   RenewalStormStats drain_batched(UnixSec now);
 
  private:

@@ -136,10 +136,6 @@ class MessageBus : public telemetry::MetricsSource {
     }
   }
 
-  // Legacy accessors, kept as thin views of the counters.
-  std::uint64_t message_count() const { return messages_.value(); }
-  std::uint64_t byte_count() const { return bytes_.value(); }
-
  private:
   static std::int64_t steady_ns() {
     return std::chrono::duration_cast<std::chrono::nanoseconds>(

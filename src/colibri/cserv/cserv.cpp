@@ -28,49 +28,33 @@ CServ::CServ(const topology::Topology& topo, AsId local, MessageBus& bus,
              drkey::SimulatedPki& pki, const drkey::Key128& drkey_master,
              const drkey::Key128& hop_key, const Clock& clock,
              CservConfig cfg)
-    : topo_(&topo),
-      local_(local),
+    : local_(local),
       bus_(&bus),
-      pki_(&pki),
       drkey_engine_(drkey_master, local),
       key_server_(drkey_engine_, pki.enroll(local)),
       key_cache_(local, pki),
       hop_key_(hop_key),
       clock_(&clock),
       cfg_(cfg),
-      db_(local, cfg.control_plane_shards),
+      db_(local, kControlPlaneShards),
+      eer_admission_(kControlPlaneShards),
       rate_limiter_(cfg.rate_limits),
       rng_(local.raw() ^ 0xC011B121C0DEULL),
       registration_(cfg.metrics, this) {
-  if (cfg_.admission_factory) {
-    admission_ = cfg_.admission_factory(local, cfg_.control_plane_shards);
-    bounded_ = dynamic_cast<admission::BoundedTubeBackend*>(admission_.get());
-  } else {
-    auto backend = std::make_unique<admission::BoundedTubeBackend>(
-        cfg_.control_plane_shards);
-    bounded_ = backend.get();
-    admission_ = std::move(backend);
-  }
   // Interface capacities from the local traffic matrix (§4.7): the Colibri
   // share of each inter-domain link, plus the internal pseudo-interface 0
   // for traffic terminating in this AS.
   const topology::AsNode& node = topo.node(local);
   for (const auto& intf : node.interfaces) {
-    admission_->set_interface_capacity(intf.id,
-                                       node.colibri_capacity(intf.id));
+    segr_admission_.set_interface_capacity(intf.id,
+                                           node.colibri_capacity(intf.id));
   }
-  admission_->set_interface_capacity(kNoInterface,
-                                     cfg_.internal_capacity_kbps);
+  segr_admission_.set_interface_capacity(kNoInterface,
+                                         cfg_.internal_capacity_kbps);
   bus_->attach(local, [this](BytesView wire) { return handle(wire); });
 }
 
 CServ::~CServ() { bus_->detach(local_); }
-
-admission::SegrAdmission& CServ::segr_admission() {
-  // Requires the bounded-tube backend (the default); a custom
-  // admission_factory has no tube ledger to introspect.
-  return bounded_->segr();
-}
 
 Bytes CServ::handle(BytesView wire) {
   if (wire.empty()) return {};
@@ -160,9 +144,22 @@ Result<proto::AuthedPayload> CServ::build_authed(
   return ap;
 }
 
-Result<proto::ControlResponse> CServ::originate(
-    proto::Packet pkt, const std::vector<AsId>& ases) {
-  (void)ases;
+Result<proto::ControlResponse> CServ::request(
+    proto::Packet pkt, const proto::ControlMessage& msg,
+    const std::vector<AsId>& ases) {
+  auto authed = build_authed(msg, pkt.resinfo, ases);
+  if (!authed) return authed.error();
+  pkt.payload = proto::encode_authed(authed.value());
+  auto resp = originate(std::move(pkt));
+  if (resp && !resp.value().success) {
+    return Result<proto::ControlResponse>(
+        resp.value().fail_code,
+        bottleneck_context(ases, resp.value().fail_hop));
+  }
+  return resp;
+}
+
+Result<proto::ControlResponse> CServ::originate(proto::Packet pkt) {
   // The initiator is hop 0 of its own request; process locally, which
   // recursively forwards down the path via the bus. The full forward +
   // unwind wall time lands in the request-latency histogram.
@@ -218,77 +215,46 @@ Result<proto::ControlResponse> CServ::originate(
 Result<ReservationResult> CServ::setup_segr(const topology::PathSegment& seg,
                                             BwKbps min_bw, BwKbps max_bw) {
   if (seg.hops.empty() || seg.first_as() != local_) return Errc::kMalformed;
-
-  proto::SegRequest msg;
-  msg.seg_type = seg.type;
-  msg.min_bw_kbps = min_bw;
-  msg.max_bw_kbps = max_bw;
-  for (const auto& h : seg.hops) msg.ases.push_back(h.as);
-
-  proto::Packet pkt;
-  pkt.type = proto::PacketType::kSegSetup;
-  pkt.is_eer = false;
-  pkt.path = seg.hops;
-  pkt.resinfo.src_as = local_;
-  pkt.resinfo.res_id = db_.next_res_id();
-  pkt.resinfo.bw_kbps = max_bw;
-  pkt.resinfo.exp_time = clock_->now_sec() + cfg_.segr_lifetime_sec;
-  pkt.resinfo.version = 0;
-
-  auto authed = build_authed(msg, pkt.resinfo, msg.ases);
-  if (!authed) return authed.error();
-  pkt.payload = proto::encode_authed(authed.value());
-
-  auto resp = originate(std::move(pkt), msg.ases);
-  if (!resp) return resp.error();
-  if (!resp.value().success) {
-    return Result<ReservationResult>(
-        resp.value().fail_code,
-        bottleneck_context(msg.ases, resp.value().fail_hop));
-  }
-
-  segr_tokens_[ResKey{local_, pkt.resinfo.res_id}] = resp.value().tokens;
-  return ReservationResult{ResKey{local_, pkt.resinfo.res_id},
-                           resp.value().final_bw_kbps, pkt.resinfo.exp_time,
-                           0};
+  return request_segr(proto::PacketType::kSegSetup, seg.type, seg.hops,
+                      ResKey{local_, db_.next_res_id()}, 0, min_bw, max_bw);
 }
 
 Result<ReservationResult> CServ::renew_segr(const ResKey& key, BwKbps min_bw,
                                             BwKbps max_bw) {
   const auto rec = db_.segr_copy(key);
   if (!rec || key.src_as != local_) return Errc::kNoSuchReservation;
+  return request_segr(proto::PacketType::kSegRenewal, rec->seg_type,
+                      rec->hops, key,
+                      static_cast<ResVer>(rec->active.version + 1), min_bw,
+                      max_bw);
+}
 
+Result<ReservationResult> CServ::request_segr(
+    proto::PacketType type, topology::SegType seg_type,
+    const std::vector<topology::Hop>& hops, const ResKey& key,
+    ResVer version, BwKbps min_bw, BwKbps max_bw) {
   proto::SegRequest msg;
-  msg.seg_type = rec->seg_type;
+  msg.seg_type = seg_type;
   msg.min_bw_kbps = min_bw;
   msg.max_bw_kbps = max_bw;
-  for (const auto& h : rec->hops) msg.ases.push_back(h.as);
+  for (const auto& h : hops) msg.ases.push_back(h.as);
 
   proto::Packet pkt;
-  pkt.type = proto::PacketType::kSegRenewal;
+  pkt.type = type;
   pkt.is_eer = false;
-  pkt.path = rec->hops;
-  pkt.resinfo.src_as = local_;
+  pkt.path = hops;
+  pkt.resinfo.src_as = key.src_as;
   pkt.resinfo.res_id = key.res_id;
   pkt.resinfo.bw_kbps = max_bw;
   pkt.resinfo.exp_time = clock_->now_sec() + cfg_.segr_lifetime_sec;
-  pkt.resinfo.version = static_cast<ResVer>(rec->active.version + 1);
+  pkt.resinfo.version = version;
 
-  auto authed = build_authed(msg, pkt.resinfo, msg.ases);
-  if (!authed) return authed.error();
-  pkt.payload = proto::encode_authed(authed.value());
-
-  const ResVer new_ver = pkt.resinfo.version;
-  const UnixSec new_exp = pkt.resinfo.exp_time;
-  auto resp = originate(std::move(pkt), msg.ases);
-  if (!resp) return resp.error();
-  if (!resp.value().success) {
-    return Result<ReservationResult>(
-        resp.value().fail_code,
-        bottleneck_context(msg.ases, resp.value().fail_hop));
-  }
-  segr_tokens_[key] = resp.value().tokens;
-  return ReservationResult{key, resp.value().final_bw_kbps, new_exp, new_ver};
+  const UnixSec exp = pkt.resinfo.exp_time;
+  return request(std::move(pkt), msg, msg.ases)
+      .map([&](proto::ControlResponse resp) {
+        segr_tokens_[key] = std::move(resp.tokens);
+        return ReservationResult{key, resp.final_bw_kbps, exp, version};
+      });
 }
 
 Result<void> CServ::activate_segr(const ResKey& key, ResVer version) {
@@ -311,17 +277,8 @@ Result<void> CServ::activate_segr(const ResKey& key, ResVer version) {
 
   std::vector<AsId> ases;
   for (const auto& h : rec->hops) ases.push_back(h.as);
-  auto authed = build_authed(msg, pkt.resinfo, ases);
-  if (!authed) return authed.error();
-  pkt.payload = proto::encode_authed(authed.value());
-
-  auto resp = originate(std::move(pkt), ases);
-  if (!resp) return resp.error();
-  if (!resp.value().success) {
-    return Result<void>(resp.value().fail_code,
-                        bottleneck_context(ases, resp.value().fail_hop));
-  }
-  return {};
+  return request(std::move(pkt), msg, ases)
+      .map([](proto::ControlResponse) {});
 }
 
 bool CServ::publish_segr(const ResKey& key, std::vector<AsId> whitelist) {
@@ -450,7 +407,29 @@ Result<ReservationResult> CServ::setup_eer(const std::vector<ResKey>& segrs,
   }
   if (path.front().as != local_) return Errc::kMalformed;
   if (path.size() > dataplane::kMaxHops) return Errc::kMalformed;
+  return request_eer(proto::PacketType::kEerSetup, path, segrs,
+                     ResKey{local_, db_.next_res_id()}, 0,
+                     proto::EerInfo{src_host, dst_host}, min_bw, max_bw);
+}
 
+Result<ReservationResult> CServ::renew_eer(const ResKey& key, BwKbps min_bw,
+                                           BwKbps max_bw) {
+  const auto rec = db_.eer_copy(key);
+  if (!rec || key.src_as != local_) return Errc::kNoSuchReservation;
+  ResVer next_ver = 0;
+  for (const auto& v : rec->versions) {
+    next_ver = std::max<ResVer>(next_ver, v.version);
+  }
+  return request_eer(proto::PacketType::kEerRenewal, rec->path, rec->segrs,
+                     key, static_cast<ResVer>(next_ver + 1),
+                     proto::EerInfo{rec->src_host, rec->dst_host}, min_bw,
+                     max_bw);
+}
+
+Result<ReservationResult> CServ::request_eer(
+    proto::PacketType type, const std::vector<topology::Hop>& path,
+    const std::vector<ResKey>& segrs, const ResKey& key, ResVer version,
+    const proto::EerInfo& hosts, BwKbps min_bw, BwKbps max_bw) {
   proto::EerRequest msg;
   msg.min_bw_kbps = min_bw;
   msg.path = path;
@@ -458,91 +437,43 @@ Result<ReservationResult> CServ::setup_eer(const std::vector<ResKey>& segrs,
   msg.segrs = segrs;
 
   proto::Packet pkt;
-  pkt.type = proto::PacketType::kEerSetup;
+  pkt.type = type;
   pkt.is_eer = true;
   pkt.path = path;
-  pkt.resinfo.src_as = local_;
-  pkt.resinfo.res_id = db_.next_res_id();
-  pkt.resinfo.bw_kbps = max_bw;
-  pkt.resinfo.exp_time = clock_->now_sec() + cfg_.eer_lifetime_sec;
-  pkt.resinfo.version = 0;
-  pkt.eerinfo.src_host = src_host;
-  pkt.eerinfo.dst_host = dst_host;
-
-  return finish_eer_request(std::move(pkt), msg);
-}
-
-Result<ReservationResult> CServ::renew_eer(const ResKey& key, BwKbps min_bw,
-                                           BwKbps max_bw) {
-  const auto rec = db_.eer_copy(key);
-  if (!rec || key.src_as != local_) return Errc::kNoSuchReservation;
-
-  proto::EerRequest msg;
-  msg.min_bw_kbps = min_bw;
-  msg.path = rec->path;
-  for (const auto& h : rec->path) msg.ases.push_back(h.as);
-  msg.segrs = rec->segrs;
-
-  ResVer next_ver = 0;
-  for (const auto& v : rec->versions) {
-    next_ver = std::max<ResVer>(next_ver, v.version);
-  }
-  ++next_ver;
-
-  proto::Packet pkt;
-  pkt.type = proto::PacketType::kEerRenewal;
-  pkt.is_eer = true;
-  pkt.path = rec->path;
-  pkt.resinfo.src_as = local_;
+  pkt.resinfo.src_as = key.src_as;
   pkt.resinfo.res_id = key.res_id;
   pkt.resinfo.bw_kbps = max_bw;
   pkt.resinfo.exp_time = clock_->now_sec() + cfg_.eer_lifetime_sec;
-  pkt.resinfo.version = next_ver;
-  pkt.eerinfo.src_host = rec->src_host;
-  pkt.eerinfo.dst_host = rec->dst_host;
+  pkt.resinfo.version = version;
+  pkt.eerinfo = hosts;
 
-  return finish_eer_request(std::move(pkt), msg);
-}
-
-Result<ReservationResult> CServ::finish_eer_request(proto::Packet pkt,
-                                                    proto::EerRequest msg) {
-  auto authed = build_authed(msg, pkt.resinfo, msg.ases);
-  if (!authed) return authed.error();
-  pkt.payload = proto::encode_authed(authed.value());
-
-  const proto::ResInfo req_ri = pkt.resinfo;
-  const proto::EerInfo eerinfo = pkt.eerinfo;
-  auto resp_r = originate(std::move(pkt), msg.ases);
-  if (!resp_r) return resp_r.error();
-  const proto::ControlResponse& resp = resp_r.value();
-  if (!resp.success) {
-    return Result<ReservationResult>(
-        resp.fail_code, bottleneck_context(msg.ases, resp.fail_hop));
-  }
-
-  // Unseal the hop authenticators (Eq. 5) with the per-AS DRKeys and
-  // install the reservation at the gateway (Fig. 1b step 5).
-  proto::ResInfo final_ri = req_ri;
-  final_ri.bw_kbps = resp.final_bw_kbps;
-  std::vector<dataplane::HopAuth> sigmas;
-  sigmas.reserve(msg.ases.size());
-  for (size_t i = 0; i < msg.ases.size(); ++i) {
-    auto key = fetch_remote_key(msg.ases[i]);
-    if (!key) return Errc::kAuthFailed;
-    crypto::Eax eax(key->bytes.data());
-    const Bytes aad = wire::hopauth_aad(final_ri, static_cast<std::uint8_t>(i));
-    if (i >= resp.sealed_hopauths.size()) return Errc::kInternal;
-    auto opened = eax.open(aad, resp.sealed_hopauths[i]);
-    if (!opened || opened->size() != 16) return Errc::kAuthFailed;
-    dataplane::HopAuth sigma;
-    std::copy(opened->begin(), opened->end(), sigma.begin());
-    sigmas.push_back(sigma);
-  }
-  if (gateway_ != nullptr) {
-    gateway_->install(final_ri, eerinfo, msg.path, sigmas);
-  }
-  return ReservationResult{final_ri.key(), final_ri.bw_kbps,
-                           final_ri.exp_time, final_ri.version};
+  proto::ResInfo final_ri = pkt.resinfo;
+  return request(std::move(pkt), msg, msg.ases)
+      .and_then([&](proto::ControlResponse resp) -> Result<ReservationResult> {
+        // Unseal the hop authenticators (Eq. 5) with the per-AS DRKeys and
+        // install the reservation at the gateway (Fig. 1b step 5).
+        final_ri.bw_kbps = resp.final_bw_kbps;
+        std::vector<dataplane::HopAuth> sigmas;
+        sigmas.reserve(msg.ases.size());
+        for (size_t i = 0; i < msg.ases.size(); ++i) {
+          auto remote_key = fetch_remote_key(msg.ases[i]);
+          if (!remote_key) return Errc::kAuthFailed;
+          crypto::Eax eax(remote_key->bytes.data());
+          const Bytes aad =
+              wire::hopauth_aad(final_ri, static_cast<std::uint8_t>(i));
+          if (i >= resp.sealed_hopauths.size()) return Errc::kInternal;
+          auto opened = eax.open(aad, resp.sealed_hopauths[i]);
+          if (!opened || opened->size() != 16) return Errc::kAuthFailed;
+          dataplane::HopAuth sigma;
+          std::copy(opened->begin(), opened->end(), sigma.begin());
+          sigmas.push_back(sigma);
+        }
+        if (gateway_ != nullptr) {
+          gateway_->install(final_ri, hosts, msg.path, sigmas);
+        }
+        return ReservationResult{key, final_ri.bw_kbps, final_ri.exp_time,
+                                 version};
+      });
 }
 
 // --- dissemination (App. C) --------------------------------------------------------
@@ -614,7 +545,6 @@ std::vector<std::vector<SegrAdvert>> CServ::lookup_chains(AsId dst) {
 // --- policing & housekeeping ---------------------------------------------------------
 
 void CServ::report_offense(const dataplane::OffenseReport& offense) {
-  offense_log_.push_back(offense);
   // Misbehavior is established with certainty (cryptographic checks +
   // deterministic monitoring), so drastic measures are safe (§4.8):
   // deny all future reservations from the offender.
@@ -635,7 +565,7 @@ void CServ::tick() {
   // records they ride). Sweeps are two-phase: callbacks run on copies
   // outside the shard locks, so release_eer may re-lock the db freely.
   db_.sweep_eers(now, [this](const reservation::EerRecord& rec) {
-    admission_->release_eer(db_, rec.key);
+    eer_admission_.release(db_, rec.key);
     if (wal_ != nullptr) wal_->log_eer_erase(rec.key);
     if (cfg_.events != nullptr) {
       cfg_.events->emit(telemetry::Severity::kInfo, "cserv", "eer.expired")
@@ -645,7 +575,7 @@ void CServ::tick() {
     }
   });
   db_.sweep_segrs(now, [this](const reservation::SegrRecord& rec) {
-    admission_->release_segr(rec.key);
+    segr_admission_.release(rec.key);
     if (wal_ != nullptr) wal_->log_segr_erase(rec.key);
     if (cfg_.events != nullptr) {
       cfg_.events->emit(telemetry::Severity::kInfo, "cserv", "segr.expired")
@@ -676,7 +606,7 @@ size_t CServ::restore_from_wal() {
     req.egress = rec.egress();
     req.min_bw_kbps = 0;
     req.demand_kbps = rec.active.bw_kbps;
-    (void)admission_->admit_segr(req);
+    (void)segr_admission_.admit(req);
     // The per-SegR EER counter is rebuilt from the EER records next, so
     // reset whatever the snapshot carried.
     db_.with_segr(rec.key, [](reservation::SegrRecord* stored) {
@@ -699,7 +629,7 @@ size_t CServ::restore_from_wal() {
       }
     }
     if (req.segr_in && req.demand_kbps > 0) {
-      (void)admission_->admit_eer(db_, req, now);
+      (void)eer_admission_.admit(db_, req, now);
     }
   }
   return applied;

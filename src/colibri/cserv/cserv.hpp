@@ -14,11 +14,11 @@
 #pragma once
 
 #include <functional>
-#include <memory>
 #include <optional>
 #include <unordered_set>
 
-#include "colibri/admission/backend.hpp"
+#include "colibri/admission/eer_admission.hpp"
+#include "colibri/admission/segr_admission.hpp"
 #include "colibri/common/rand.hpp"
 #include "colibri/cserv/bus.hpp"
 #include "colibri/cserv/ratelimit.hpp"
@@ -38,6 +38,10 @@ namespace colibri::cserv {
 
 class FailoverManager;
 
+// Shard count for the reservation db (and EER-admission stripes):
+// concurrent setup/renewal/expiry paths lock per shard, never globally.
+inline constexpr size_t kControlPlaneShards = 8;
+
 struct CservConfig {
   // Capacity assumed for traffic terminating inside the AS (the pseudo
   // egress interface 0 of the last AS on a segment).
@@ -47,13 +51,6 @@ struct CservConfig {
   BwKbps per_host_eer_cap_kbps = 10'000'000;
   std::uint32_t segr_lifetime_sec = reservation::kSegrLifetimeSec;
   std::uint32_t eer_lifetime_sec = reservation::kEerLifetimeSec;
-  // Shard count for the reservation db (and EER-admission stripes):
-  // concurrent setup/renewal/expiry paths lock per shard, never globally.
-  size_t control_plane_shards = 8;
-  // Admission strategy override (nullptr = the paper's bounded-tube
-  // fairness). Called once at construction with (local AS, shard count).
-  std::function<std::unique_ptr<admission::AdmissionBackend>(AsId, size_t)>
-      admission_factory;
   RateLimitConfig rate_limits;
   // Registry this CServ exports its metrics to (nullptr = none).
   telemetry::MetricsRegistry* metrics = &telemetry::MetricsRegistry::global();
@@ -105,14 +102,11 @@ class CServ : public telemetry::MetricsSource {
   const reservation::ReservationDb& db() const { return db_; }
   const drkey::Key128& hop_key() const { return hop_key_; }
   const drkey::Engine& drkey_engine() const { return drkey_engine_; }
-  admission::AdmissionBackend& admission_backend() { return *admission_; }
-  // Bounded-tube ledger introspection (tests/diagnostics); only valid
-  // with the default backend.
-  admission::SegrAdmission& segr_admission();
-  // EER stripe introspection for the conservation auditor; nullptr when
-  // a custom admission backend is installed.
+  // Bounded-tube ledger introspection (tests/diagnostics).
+  admission::SegrAdmission& segr_admission() { return segr_admission_; }
+  // EER stripe introspection for the conservation auditor (never null).
   const admission::EerAdmission* eer_admission() const {
-    return bounded_ != nullptr ? &bounded_->eer() : nullptr;
+    return &eer_admission_;
   }
   AsId local_as() const { return local_; }
   const Clock& clock() const { return *clock_; }
@@ -203,11 +197,7 @@ class CServ : public telemetry::MetricsSource {
  private:
   friend class Handlers;
 
-  struct PendingToken {
-    proto::Hvf token;
-  };
-
-  // Implemented in handlers.cpp.
+  // Channel handlers (see handle()).
   Bytes handle_packet(BytesView wire);
   Bytes handle_registry_query(BytesView wire);
   Bytes handle_key_fetch(BytesView wire);
@@ -225,19 +215,34 @@ class CServ : public telemetry::MetricsSource {
                                             const proto::ResInfo& ri,
                                             const std::vector<AsId>& ases);
 
-  // Shared tail of setup_eer/renew_eer: authenticate, originate, unseal
-  // the returned hop authenticators, install at the gateway.
-  Result<ReservationResult> finish_eer_request(proto::Packet pkt,
-                                               proto::EerRequest msg);
+  // The one initiator path of every request: MACs `msg` for each of
+  // `ases`, runs the request from hop 0 and maps a refusal to the
+  // bottleneck AS that refused it (§3.3).
+  Result<proto::ControlResponse> request(proto::Packet pkt,
+                                         const proto::ControlMessage& msg,
+                                         const std::vector<AsId>& ases);
+
+  // Shared body of setup_segr/renew_segr.
+  Result<ReservationResult> request_segr(proto::PacketType type,
+                                         topology::SegType seg_type,
+                                         const std::vector<topology::Hop>& hops,
+                                         const ResKey& key, ResVer version,
+                                         BwKbps min_bw, BwKbps max_bw);
+
+  // Shared body of setup_eer/renew_eer: request, unseal the returned hop
+  // authenticators, install at the gateway.
+  Result<ReservationResult> request_eer(proto::PacketType type,
+                                        const std::vector<topology::Hop>& path,
+                                        const std::vector<ResKey>& segrs,
+                                        const ResKey& key, ResVer version,
+                                        const proto::EerInfo& hosts,
+                                        BwKbps min_bw, BwKbps max_bw);
 
   // Runs the full forward pass for a request originated here.
-  Result<proto::ControlResponse> originate(proto::Packet pkt,
-                                           const std::vector<AsId>& ases);
+  Result<proto::ControlResponse> originate(proto::Packet pkt);
 
-  const topology::Topology* topo_;
   AsId local_;
   MessageBus* bus_;
-  drkey::SimulatedPki* pki_;
   drkey::Engine drkey_engine_;
   drkey::KeyServer key_server_;
   drkey::KeyCache key_cache_;
@@ -246,8 +251,11 @@ class CServ : public telemetry::MetricsSource {
   CservConfig cfg_;
 
   reservation::ReservationDb db_;
-  std::unique_ptr<admission::AdmissionBackend> admission_;
-  admission::BoundedTubeBackend* bounded_ = nullptr;  // when default backend
+  // The paper's bounded-tube fairness (§4.7): a single-coordinator
+  // SegR admission (the decision needs the complete per-egress view)
+  // plus a stripe-parallel EER admission.
+  admission::SegrAdmission segr_admission_;
+  admission::EerAdmission eer_admission_;
   SegrRegistry registry_;
   ControlRateLimiter rate_limiter_;
   dataplane::Gateway* gateway_ = nullptr;
@@ -255,7 +263,6 @@ class CServ : public telemetry::MetricsSource {
   FailoverManager* failover_ = nullptr;
   HostAcceptor host_acceptor_;
   std::unordered_set<AsId> denied_sources_;
-  std::vector<dataplane::OffenseReport> offense_log_;
   std::unordered_map<ResKey, std::vector<proto::Hvf>> segr_tokens_;
   Rng rng_;
 

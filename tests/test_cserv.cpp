@@ -337,12 +337,12 @@ TEST_F(EerTest, LookupChainsFindsMultiSegmentRoutes) {
 
 TEST_F(EerTest, RemoteAdvertsAreCached) {
   const AsId src{1, 110}, dst{1, 120};
-  const std::uint64_t before = bed_.bus().message_count();
+  const std::uint64_t before = bed_.bus().snapshot().messages;
   (void)bed_.cserv(src).lookup_chains(dst);
-  const std::uint64_t after_first = bed_.bus().message_count();
+  const std::uint64_t after_first = bed_.bus().snapshot().messages;
   EXPECT_GT(after_first, before);  // remote queries happened
   (void)bed_.cserv(src).lookup_chains(dst);
-  const std::uint64_t after_second = bed_.bus().message_count();
+  const std::uint64_t after_second = bed_.bus().snapshot().messages;
   // Cached: the repeat lookup needs strictly fewer remote messages (only
   // the never-hit query pairs are retried; positive results are served
   // from the local registry).

@@ -3,8 +3,12 @@
 // on failed requests.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <tuple>
+
 #include "colibri/app/testbed.hpp"
 #include "colibri/crypto/eax.hpp"
+#include "colibri/telemetry/audit.hpp"
 
 namespace colibri::cserv {
 namespace {
@@ -182,6 +186,153 @@ TEST_F(HandlerEdgeTest, FailedEerLeavesNoAllocation) {
     }
   }
   EXPECT_EQ(before, after);
+}
+
+// Every per-SegR EER counter and stripe-ledger size in the fleet, keyed
+// by (AS, SegR) and AS.
+struct EerLedgers {
+  std::map<std::pair<AsId, ResKey>, BwKbps> segr_allocated;
+  std::map<AsId, size_t> tracked;
+  friend bool operator==(const EerLedgers&, const EerLedgers&) = default;
+};
+
+EerLedgers eer_ledgers(Testbed& bed) {
+  EerLedgers out;
+  for (AsId as : bed.topology().as_ids()) {
+    for (const auto& rec : bed.cserv(as).db().segr_snapshot()) {
+      out.segr_allocated[{as, rec.key}] = rec.eer_allocated_kbps;
+    }
+    out.tracked[as] = bed.cserv(as).eer_admission()->tracked();
+  }
+  return out;
+}
+
+// Every TubeLedger aggregate `src` touches at the ASes of `hops`.
+std::vector<double> tube_ledgers(Testbed& bed, AsId src,
+                                 const std::vector<topology::Hop>& hops) {
+  std::vector<double> out;
+  for (const topology::Hop& h : hops) {
+    auto& adm = bed.cserv(h.as).segr_admission();
+    out.push_back(static_cast<double>(adm.tracked()));
+    out.push_back(static_cast<double>(adm.pending_demands()));
+    for (IfId eg : {h.ingress, h.egress}) {
+      out.push_back(adm.ledger().total_adjusted_demand(eg));
+      out.push_back(static_cast<double>(adm.ledger().granted_total(eg)));
+      out.push_back(adm.ledger().source_raw_demand(src, eg));
+      out.push_back(adm.ledger().source_granted(src, eg));
+    }
+  }
+  return out;
+}
+
+// The allocation `eer` holds at `as` (0 when it holds none); both sides
+// of a transfer AS hold the same amount.
+BwKbps eer_allocation(Testbed& bed, AsId as, const ResKey& eer) {
+  BwKbps held = 0;
+  bed.cserv(as).eer_admission()->for_each_allocation(
+      [&](const admission::EerAdmission::AllocationView& a) {
+        if (a.eer_key != eer) return;
+        held = a.in_allocated;
+        if (a.has_out) {
+          EXPECT_EQ(a.out_allocated, a.in_allocated);
+        }
+      });
+  return held;
+}
+
+std::vector<ResKey> chain_keys(const std::vector<SegrAdvert>& chain) {
+  std::vector<ResKey> keys;
+  for (const auto& a : chain) keys.push_back(a.key);
+  return keys;
+}
+
+TEST_F(HandlerEdgeTest, RefusedRenewalLeavesEveryLedgerUnchanged) {
+  // EER: a renewal the destination refuses gives back exactly what it
+  // took upstream; the live version keeps its allocation (§3.3).
+  const AsId src{1, 110}, dst{1, 120};
+  const auto chains = bed_.cserv(src).lookup_chains(dst);
+  ASSERT_FALSE(chains.empty());
+  auto eer = bed_.cserv(src).setup_eer(chain_keys(chains.front()),
+                                       HostAddr::from_u64(1),
+                                       HostAddr::from_u64(2), 1, 1000);
+  ASSERT_TRUE(eer.ok());
+  const EerLedgers before = eer_ledgers(bed_);
+  bed_.cserv(dst).set_host_acceptor(
+      [](const proto::EerInfo&, BwKbps) { return false; });
+  auto renewed = bed_.cserv(src).renew_eer(eer.value().key, 1, 1000);
+  ASSERT_FALSE(renewed.ok());
+  EXPECT_EQ(renewed.error(), Errc::kPolicyDenied);
+  EXPECT_NE(renewed.error_context().find("at 1-120"), std::string::npos);
+  EXPECT_EQ(eer_ledgers(bed_), before);
+
+  telemetry::ConservationAuditor auditor(clock_);
+  for (AsId as : bed_.topology().as_ids()) {
+    auditor.add_target({as.to_string(), as, &bed_.cserv(as).db(),
+                        bed_.cserv(as).eer_admission(),
+                        &bed_.topology().node(as)});
+  }
+  EXPECT_TRUE(auditor.run(clock_.now_sec()).clean());
+
+  // SegR twin: a renewal refused at hop 1 restores hop 0's tube ledger.
+  std::optional<reservation::SegrRecord> segr;
+  for (const auto& rec : bed_.cserv(src).db().segr_snapshot()) {
+    if (rec.key.src_as == src && rec.hops.size() >= 2) segr = rec;
+  }
+  ASSERT_TRUE(segr.has_value());
+  const auto tubes = tube_ledgers(bed_, src, segr->hops);
+  bed_.cserv(segr->hops[1].as).report_offense({src, 0, 0, 0});
+  auto seg_renewed = bed_.cserv(src).renew_segr(segr->key, 1000, 2'000'000);
+  ASSERT_FALSE(seg_renewed.ok());
+  EXPECT_EQ(seg_renewed.error(), Errc::kBlocked);
+  EXPECT_EQ(tube_ledgers(bed_, src, segr->hops), tubes);
+}
+
+TEST_F(HandlerEdgeTest, EerAllocationShrinksToFinalBandwidth) {
+  // A first EER fills most of the core and down SegRs towards 1-120; a
+  // second one from 1-111 over the same SegRs is granted only the rest.
+  const AsId dst{1, 120}, leaf_a{1, 110}, leaf_b{1, 111};
+  const auto chains_a = bed_.cserv(leaf_a).lookup_chains(dst);
+  ASSERT_FALSE(chains_a.empty());
+  const std::vector<ResKey> keys_a = chain_keys(chains_a.front());
+  ASSERT_EQ(keys_a.size(), 3u);
+  std::vector<ResKey> keys_b;
+  for (const auto& chain : bed_.cserv(leaf_b).lookup_chains(dst)) {
+    const std::vector<ResKey> k = chain_keys(chain);
+    if (k.size() == 3 && k[1] == keys_a[1] && k[2] == keys_a[2]) keys_b = k;
+  }
+  ASSERT_FALSE(keys_b.empty());
+  ASSERT_TRUE(bed_.cserv(leaf_a)
+                  .setup_eer(keys_a, HostAddr::from_u64(1),
+                             HostAddr::from_u64(2), 1, 1'900'000)
+                  .ok());
+
+  auto second = bed_.cserv(leaf_b).setup_eer(keys_b, HostAddr::from_u64(3),
+                                             HostAddr::from_u64(4), 1,
+                                             2'000'000);
+  ASSERT_TRUE(second.ok());
+  const BwKbps granted = second.value().bw_kbps;
+  EXPECT_LT(granted, 2'000'000u);
+  const auto rec = bed_.cserv(leaf_b).db().eer_copy(second.value().key);
+  ASSERT_TRUE(rec.has_value());
+  for (const topology::Hop& h : rec->path) {
+    EXPECT_EQ(eer_allocation(bed_, h.as, second.value().key), granted)
+        << h.as.to_string();
+  }
+
+  // The up-SegR of 1-111 kept only what the second EER holds, so a third
+  // EER from 1-111 towards ISD 2 over that up-SegR gets the rest.
+  std::vector<ResKey> keys_c;
+  for (const auto& chain : bed_.cserv(leaf_b).lookup_chains(AsId{2, 210})) {
+    const std::vector<ResKey> k = chain_keys(chain);
+    if (k.front() == keys_b.front()) keys_c = k;
+  }
+  ASSERT_FALSE(keys_c.empty());
+  const BwKbps rest = 1'500'000;
+  auto third = bed_.cserv(leaf_b).setup_eer(keys_c, HostAddr::from_u64(5),
+                                            HostAddr::from_u64(6), rest, rest);
+  ASSERT_TRUE(third.ok()) << errc_name(third.error()) << " "
+                          << third.error_context();
+  EXPECT_EQ(third.value().bw_kbps, rest);
 }
 
 TEST_F(HandlerEdgeTest, TamperedSealedHopauthRejectedByInitiator) {

@@ -386,8 +386,8 @@ TEST_F(IntegrationTest, PolicingLoopBlocksOveruser) {
 // Control-plane messages cross the bus serialized; the accounting shows
 // real message flow (management-scalability sanity).
 TEST_F(IntegrationTest, BusCarriesSerializedControlPlane) {
-  EXPECT_GT(bed_.bus().message_count(), 0u);
-  EXPECT_GT(bed_.bus().byte_count(), 0u);
+  EXPECT_GT(bed_.bus().snapshot().messages, 0u);
+  EXPECT_GT(bed_.bus().snapshot().bytes, 0u);
 }
 
 // §3.4 traffic split: admission never grants more than the Colibri share

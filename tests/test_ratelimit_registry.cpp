@@ -191,15 +191,15 @@ TEST(MessageBusTest, RoutesToHandler) {
   const Bytes resp = bus.call(a, req);
   ASSERT_EQ(resp.size(), 4u);
   EXPECT_EQ(resp.back(), 0xFF);
-  EXPECT_EQ(bus.message_count(), 1u);
-  EXPECT_EQ(bus.byte_count(), 3u);
+  EXPECT_EQ(bus.snapshot().messages, 1u);
+  EXPECT_EQ(bus.snapshot().bytes, 3u);
 }
 
 TEST(MessageBusTest, UnreachableReturnsEmpty) {
   MessageBus bus;
   EXPECT_FALSE(bus.reachable(AsId{9, 9}));
   EXPECT_TRUE(bus.call(AsId{9, 9}, Bytes{1}).empty());
-  EXPECT_EQ(bus.message_count(), 0u);
+  EXPECT_EQ(bus.snapshot().messages, 0u);
 }
 
 TEST(MessageBusTest, DetachStopsDelivery) {

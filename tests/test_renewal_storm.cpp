@@ -1,5 +1,5 @@
-// Tests: renewal-storm scenario — correlated expiry, legacy vs batched
-// drain equivalence, per-shard batch shape.
+// Tests: renewal-storm scenario — correlated expiry, the batched drain's
+// end state, per-shard batch shape.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -51,7 +51,9 @@ TEST(RenewalStormTest, UnrenewedFleetSweepsOutTogether) {
 TEST(RenewalStormTest, BatchedDrainRenewsEverythingBeforeExpiry) {
   RenewalStorm storm(small_config());
   storm.populate();
-  const auto st = storm.drain_batched(storm.storm_expiry());
+  const auto allocated_before = allocations(storm);
+  const UnixSec now = storm.storm_expiry();
+  const auto st = storm.drain_batched(now);
   EXPECT_EQ(st.renewed, 2'000u);
   EXPECT_EQ(st.failed, 0u);
   // One batch per non-empty shard, ResId-ordered inside.
@@ -59,42 +61,24 @@ TEST(RenewalStormTest, BatchedDrainRenewsEverythingBeforeExpiry) {
   EXPECT_GE(st.max_batch, 2'000u / 8);
   EXPECT_LT(st.max_batch, 2'000u);
 
+  // Every EER's version was bumped at the same bandwidth; a renewal at
+  // an unchanged bandwidth leaves every per-SegR allocation counter as
+  // it was.
+  for (const auto& rec : storm.db().eer_snapshot()) {
+    ASSERT_FALSE(rec.versions.empty());
+    EXPECT_EQ(rec.versions.back().version, 1u);
+    EXPECT_EQ(rec.versions.back().exp_time,
+              now + storm.config().renew_lifetime_sec);
+    EXPECT_EQ(rec.versions.back().bw_kbps, storm.config().eer_bw_kbps);
+  }
+  EXPECT_EQ(allocations(storm), allocated_before);
+
   // The renewed fleet survives the storm instant.
   size_t removed = 0;
   storm.db().sweep_eers(storm.storm_expiry() + 1,
                         [&](const reservation::EerRecord&) { ++removed; });
   EXPECT_EQ(removed, 0u);
   EXPECT_EQ(storm.db().eer_count(), 2'000u);
-}
-
-TEST(RenewalStormTest, BatchedDrainMatchesLegacyEndState) {
-  RenewalStorm legacy(small_config());
-  RenewalStorm batched(small_config());
-  legacy.populate();
-  batched.populate();
-
-  const UnixSec now = legacy.storm_expiry();
-  const auto lst = legacy.drain_legacy(now);
-  const auto bst = batched.drain_batched(now);
-
-  EXPECT_EQ(lst.renewed, bst.renewed);
-  EXPECT_EQ(lst.failed, bst.failed);
-  EXPECT_EQ(lst.renewed, 2'000u);
-  // The legacy drain is one undifferentiated pass.
-  EXPECT_EQ(lst.batches, 1u);
-  EXPECT_EQ(lst.max_batch, 2'000u);
-
-  // Identical reservation state: same records, same versions, same
-  // per-SegR allocation counters.
-  EXPECT_EQ(legacy.db().eer_count(), batched.db().eer_count());
-  EXPECT_EQ(allocations(legacy), allocations(batched));
-  for (const auto& rec : legacy.db().eer_snapshot()) {
-    const auto other = batched.db().eer_copy(rec.key);
-    ASSERT_TRUE(other.has_value());
-    ASSERT_EQ(other->versions.size(), rec.versions.size());
-    EXPECT_EQ(other->versions.back().exp_time, rec.versions.back().exp_time);
-    EXPECT_EQ(other->versions.back().bw_kbps, rec.versions.back().bw_kbps);
-  }
 }
 
 TEST(RenewalStormTest, MultiThreadedDrainMatchesSingleThreaded) {
