@@ -3,8 +3,8 @@
 // (a) AES-NI vs. portable AES — quantifies how much of the Mpps headroom
 //     comes from hardware AES (the paper's "native hardware-accelerated
 //     instructions", §7.1);
-// (b) CBC-MAC (paper's choice) vs. CMAC (subkey masking) on the actual
-//     HVF input sizes;
+// (b) fixed-length CBC-MAC (paper's choice) vs. CMAC (subkey masking) on
+//     the actual HVF input sizes;
 // (c) the full per-packet crypto budgets of the gateway (Eq. 6 only,
 //     h = 4 hops) and the border router (Eq. 4 + Eq. 6).
 #include <benchmark/benchmark.h>
@@ -12,7 +12,6 @@
 #include "bench_json.hpp"
 
 #include "colibri/common/rand.hpp"
-#include "colibri/crypto/cbcmac.hpp"
 #include "colibri/crypto/cmac.hpp"
 #include "colibri/dataplane/hvf.hpp"
 
@@ -41,8 +40,10 @@ void BM_AesBlock(benchmark::State& state) {
 BENCHMARK(BM_AesBlock)->Arg(0)->Arg(1);
 
 void BM_AesKeyExpansion(benchmark::State& state) {
-  // The router/gateway expand σ_i's schedule per packet per hop; this is
-  // the non-AES-NI part of the per-packet budget.
+  // The router/gateway expand σ_i's schedule per packet per hop:
+  // AESKEYGENASSIST vs. the portable expansion.
+  const bool portable = state.range(0) != 0;
+  Aes128::set_force_portable(portable);
   std::uint8_t key[16];
   Rng rng(2);
   rng.fill(key, 16);
@@ -52,17 +53,19 @@ void BM_AesKeyExpansion(benchmark::State& state) {
     benchmark::DoNotOptimize(aes.round_keys()[0]);
     ++key[0];
   }
+  Aes128::set_force_portable(false);
+  state.SetLabel(portable ? "portable" : "aesni-if-available");
   state.SetItemsProcessed(state.iterations());
 }
 
-BENCHMARK(BM_AesKeyExpansion);
+BENCHMARK(BM_AesKeyExpansion)->Arg(0)->Arg(1);
 
 template <size_t N>
 void mac_input(Rng& rng, std::uint8_t (&buf)[N]) {
   rng.fill(buf, N);
 }
 
-void BM_CbcMacHopAuthInput(benchmark::State& state) {
+void BM_CbcmacFixedHopAuthInput(benchmark::State& state) {
   // Eq. 4 input: 57 bytes -> 4 CBC blocks. The router's main cost.
   std::uint8_t key[16];
   Rng rng(3);
@@ -78,7 +81,7 @@ void BM_CbcMacHopAuthInput(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 
-BENCHMARK(BM_CbcMacHopAuthInput);
+BENCHMARK(BM_CbcmacFixedHopAuthInput);
 
 void BM_CmacHopAuthInput(benchmark::State& state) {
   std::uint8_t key[16];
@@ -96,23 +99,6 @@ void BM_CmacHopAuthInput(benchmark::State& state) {
 }
 
 BENCHMARK(BM_CmacHopAuthInput);
-
-void BM_LengthPrefixedCbcMac(benchmark::State& state) {
-  std::uint8_t key[16];
-  Rng rng(5);
-  rng.fill(key, 16);
-  crypto::CbcMac mac(key);
-  std::uint8_t msg[proto::kHopAuthInputLen];
-  mac_input(rng, msg);
-  std::uint8_t out[16];
-  for (auto _ : state) {
-    mac.compute(msg, sizeof(msg), out);
-    benchmark::DoNotOptimize(out[0]);
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-
-BENCHMARK(BM_LengthPrefixedCbcMac);
 
 // Gateway per-packet crypto with h stored hop authenticators: h x
 // (key schedule + 1 AES block), Eq. 6.

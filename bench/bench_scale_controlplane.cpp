@@ -14,7 +14,6 @@
 #include <chrono>
 #include <memory>
 
-#include "colibri/app/renewal_storm.hpp"
 #include "colibri/app/testbed.hpp"
 #include "colibri/topology/generator.hpp"
 
@@ -98,57 +97,6 @@ BENCHMARK(BM_EerAcrossGeneratedTopology)
     ->Arg(5)
     ->Unit(benchmark::kMicrosecond)
     ->Iterations(2000);
-
-// --- renewal-storm drain: sharded vs unsharded ----------------------------
-//
-// §3.2 + §9: SegRs set up together expire together, so hundreds of
-// thousands of EER renewals come due in one 16 s window. The drain
-// renews per-shard, ResId-ordered batches straight into the admission
-// ledger, single-threaded, on a db of 1..8 shards. What one renewal
-// costs through the real bus (codecs, MACs, WAL, seals at every hop)
-// is BM_EerRenewal's number (bench_cserv_throughput).
-
-app::RenewalStormConfig storm_config(size_t shards, size_t eers) {
-  app::RenewalStormConfig cfg;
-  cfg.shards = shards;
-  cfg.num_eers = eers;
-  cfg.num_segrs = 64;
-  return cfg;
-}
-
-void BM_RenewalStormBatched(benchmark::State& state) {
-  const auto cfg = storm_config(static_cast<size_t>(state.range(0)),
-                                static_cast<size_t>(state.range(1)));
-  std::uint64_t renewed = 0;
-  std::uint64_t batches = 0;
-  for (auto _ : state) {
-    state.PauseTiming();
-    app::RenewalStorm storm(cfg);
-    storm.populate();
-    state.ResumeTiming();
-    const auto st = storm.drain_batched(storm.storm_expiry());
-    renewed += st.renewed;
-    batches += st.batches;
-    if (st.failed != 0) state.SkipWithError("batched drain failed renewals");
-  }
-  state.counters["shards"] = static_cast<double>(cfg.shards);
-  state.counters["batches"] = static_cast<double>(batches) /
-                              std::max<double>(1.0, state.iterations());
-  state.SetItemsProcessed(static_cast<std::int64_t>(renewed));
-  state.SetLabel("per-shard ResId-ordered batches into the admission ledger");
-}
-
-BENCHMARK(BM_RenewalStormBatched)
-    ->ArgsProduct({{1, 2, 4, 8}, {50'000, 200'000}})
-    ->Unit(benchmark::kMillisecond)
-    ->Iterations(1);
-
-// Ratio rows (one per EER count): the same single-threaded drain on the
-// 8-shard db over the 1-shard db — what sharding alone costs or buys at
-// equal thread count.
-const bool kRatioRegistered = colibri::benchjson::request_ratio(
-    "controlplane_sharded_over_unsharded", "BM_RenewalStormBatched/8",
-    "BM_RenewalStormBatched/1");
 
 }  // namespace
 

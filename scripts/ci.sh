@@ -63,7 +63,8 @@ python3 scripts/check_bench.py --self-test
 TSAN_SUITES='TelemetryStressTest|ShardedRuntimeTest|SpscRingTest'
 TSAN_SUITES+='|CounterTest.ConcurrentIncrementsFromManyThreads'
 TSAN_SUITES+='|ControlPlaneStressTest'
-TSAN_SUITES+='|RenewalStormTest.MultiThreadedDrainMatchesSingleThreaded'
+TSAN_SUITES+='|ControlPlaneStressTest.SweepRacesBatchedRenewalDrain'
+TSAN_SUITES+='|ControlPlaneStressTest.ParallelDrainWorkersSplitTheShards'
 TSAN_SUITES+='|ReservationDbTest.NextResIdIsUniqueAcrossThreads'
 TSAN_SUITES+='|SamplerAlertStressTest'
 TSAN_SUITES+='|FleetAuditStressTest'
@@ -94,6 +95,16 @@ for preset in "${PRESETS[@]}"; do
   echo "=== [$preset] JSON reader fuzz corpus replay"
   ctest --preset "$preset" -R '^fuzz_json_corpus_replay$'
   if [ "$preset" = tsan ]; then
+    # A deleted or renamed race test must not shrink the gate silently:
+    # every alternative has to select at least one test.
+    IFS='|' read -ra tsan_alts <<< "$TSAN_SUITES"
+    for alt in "${tsan_alts[@]}"; do
+      selected=$(ctest --preset "$preset" -N -R "$alt" | sed -n 's/^Total Tests: //p')
+      if [ "${selected:-0}" -eq 0 ]; then
+        echo "race gate: '$alt' selects no test" >&2
+        exit 1
+      fi
+    done
     echo "=== [$preset] concurrency race gate (telemetry + sharded runtime + control plane)"
     ctest --preset "$preset" -R "$TSAN_SUITES"
     echo "=== [$preset] chaos lane (fault injection, failover, WAL recovery)"

@@ -1,14 +1,16 @@
-// AES-128 block cipher.
+// AES-128 block cipher, encryption only: CBC-MAC, CMAC, CTR and EAX
+// (paper §4.5-4.6) never run the inverse cipher.
 //
 // Two backends: a portable table-free byte-oriented implementation and an
 // AES-NI path (compiled in a separate -maes translation unit, selected at
 // runtime via CPUID). The data plane computes 1-2 AES-CMACs per packet
-// (paper §4.5-4.6), so single-block encryption latency dominates the
-// forwarding benchmarks (Figs. 5-6).
+// and expands one σ_i schedule per packet-hop (Eq. 6), so single-block
+// latency and key expansion dominate the forwarding benchmarks (Figs. 5-6).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <type_traits>
 
 namespace colibri::crypto {
 
@@ -18,15 +20,17 @@ class Aes128 {
   static constexpr size_t kKeySize = 16;
   static constexpr int kRounds = 10;
 
+  // Leaves the schedule unset, so a stack array of lanes costs no clear
+  // per call; set_key must run before the first encryption.
   Aes128() = default;
   explicit Aes128(const std::uint8_t key[kKeySize]) { set_key(key); }
 
+  // AESKEYGENASSIST expansion when AES-NI is in use, portable otherwise;
+  // both produce the same round keys.
   void set_key(const std::uint8_t key[kKeySize]);
 
-  // Single-block ECB encryption/decryption. in and out may alias.
+  // Single-block ECB encryption. in and out may alias.
   void encrypt_block(const std::uint8_t in[kBlockSize],
-                     std::uint8_t out[kBlockSize]) const;
-  void decrypt_block(const std::uint8_t in[kBlockSize],
                      std::uint8_t out[kBlockSize]) const;
 
   // Same-key multi-block ECB over `n` independent blocks. On AES-NI the
@@ -37,27 +41,25 @@ class Aes128 {
                       std::size_t n_blocks) const;
 
   // Expanded encryption round keys, 11 x 16 bytes, little-endian order.
-  const std::uint8_t* round_keys() const { return enc_rk_; }
+  const std::uint8_t* round_keys() const { return rk_; }
 
   // True if the AES-NI fast path is compiled in and supported by the CPU.
   static bool has_aesni();
 
-  // Force the portable path (for tests and the crypto ablation bench).
+  // Force the portable path, key expansion included (for tests and the
+  // crypto ablation bench).
   static void set_force_portable(bool force);
 
  private:
-  void encrypt_block_portable(const std::uint8_t in[kBlockSize],
-                              std::uint8_t out[kBlockSize]) const;
-  void decrypt_block_portable(const std::uint8_t in[kBlockSize],
-                              std::uint8_t out[kBlockSize]) const;
-
-  alignas(16) std::uint8_t enc_rk_[16 * (kRounds + 1)] = {};
-  alignas(16) std::uint8_t dec_rk_[16 * (kRounds + 1)] = {};
+  alignas(16) std::uint8_t rk_[16 * (kRounds + 1)];
 };
 
+static_assert(std::is_trivially_default_constructible_v<Aes128>,
+              "multi-lane AES keeps Aes128 arrays on the stack per batch");
+
 // Portable reference primitives operating on a raw round-key schedule.
-// Aes128 delegates here; the multi-lane batch helpers (cmac_multi.hpp)
-// use them as the fallback when AES-NI is unavailable.
+// Aes128 and the multi-lane batch helpers (cmac_multi.hpp) fall back to
+// them when AES-NI is unavailable.
 namespace portable {
 void expand_key(const std::uint8_t key[16], std::uint8_t rk[176]);
 void encrypt_block(const std::uint8_t rk[176], const std::uint8_t in[16],

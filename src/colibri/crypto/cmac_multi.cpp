@@ -4,17 +4,7 @@
 
 namespace colibri::crypto {
 
-void AesSchedule::expand(const std::uint8_t key[16]) {
-#if defined(COLIBRI_HAVE_AESNI)
-  if (Aes128::has_aesni()) {
-    aesni::expand_key(key, rk);
-    return;
-  }
-#endif
-  portable::expand_key(key, rk);
-}
-
-void aes128_encrypt_each(const AesSchedule* scheds, std::size_t n,
+void aes128_encrypt_each(const Aes128* ciphers, std::size_t n,
                          const std::uint8_t* in, std::uint8_t* out) {
 #if defined(COLIBRI_HAVE_AESNI)
   if (Aes128::has_aesni()) {
@@ -24,14 +14,17 @@ void aes128_encrypt_each(const AesSchedule* scheds, std::size_t n,
     const std::uint8_t* rks[kChunk];
     for (std::size_t base = 0; base < n; base += kChunk) {
       const std::size_t m = (n - base < kChunk) ? n - base : kChunk;
-      for (std::size_t i = 0; i < m; ++i) rks[i] = scheds[base + i].rk;
+      for (std::size_t i = 0; i < m; ++i) {
+        rks[i] = ciphers[base + i].round_keys();
+      }
       aesni::encrypt_each(rks, in + 16 * base, out + 16 * base, m);
     }
     return;
   }
 #endif
   for (std::size_t i = 0; i < n; ++i) {
-    portable::encrypt_block(scheds[i].rk, in + 16 * i, out + 16 * i);
+    portable::encrypt_block(ciphers[i].round_keys(), in + 16 * i,
+                            out + 16 * i);
   }
 }
 

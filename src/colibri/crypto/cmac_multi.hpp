@@ -5,8 +5,7 @@
 // is latency-bound. These helpers keep many independent MAC states in
 // flight — same-key lanes ride Aes128::encrypt_blocks (4-wide interleave),
 // per-lane-key batches go through aes128_encrypt_each — so the batched
-// pipeline (and its batch of one) amortizes both the cipher latency and
-// the key expansion.
+// pipeline (and its batch of one) amortizes the cipher latency.
 //
 // Verdict parity matters more than speed here: every function is defined
 // to produce byte-identical output to its scalar counterpart in hvf.hpp
@@ -20,20 +19,10 @@
 
 namespace colibri::crypto {
 
-// An expanded AES-128 encryption schedule without the Aes128 class
-// overhead (no decryption schedule, no virtual anything). `expand()`
-// uses AESKEYGENASSIST when available — roughly an order of magnitude
-// faster than the portable expansion, which matters because the batched
-// router expands one schedule per packet (Eq. 6 keys are per-hop σ_i).
-struct AesSchedule {
-  alignas(16) std::uint8_t rk[176];
-
-  void expand(const std::uint8_t key[16]);
-};
-
-// Encrypt n independent (schedule, block) pairs: out[i] = E_{scheds[i]}(in[i]).
-// Blocks are 16 bytes each, packed contiguously. Interleaved 4-wide on AES-NI.
-void aes128_encrypt_each(const AesSchedule* scheds, std::size_t n,
+// Encrypt n independent (cipher, block) pairs: out[i] = E_{ciphers[i]}(in[i]).
+// Blocks are 16 bytes each, packed contiguously. Interleaved 4-wide on
+// AES-NI. The batched router and gateway key one lane per σ_i (Eq. 6).
+void aes128_encrypt_each(const Aes128* ciphers, std::size_t n,
                          const std::uint8_t* in, std::uint8_t* out);
 
 // CBC-MAC over n fixed-length messages under ONE key (zero-padded to whole

@@ -34,6 +34,7 @@ CServ::CServ(const topology::Topology& topo, AsId local, MessageBus& bus,
       key_server_(drkey_engine_, pki.enroll(local)),
       key_cache_(local, pki),
       hop_key_(hop_key),
+      hop_cipher_(hop_key.bytes.data()),
       clock_(&clock),
       cfg_(cfg),
       db_(local, kControlPlaneShards),

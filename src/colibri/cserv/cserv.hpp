@@ -20,6 +20,7 @@
 #include "colibri/admission/eer_admission.hpp"
 #include "colibri/admission/segr_admission.hpp"
 #include "colibri/common/rand.hpp"
+#include "colibri/crypto/aes.hpp"
 #include "colibri/cserv/bus.hpp"
 #include "colibri/cserv/ratelimit.hpp"
 #include "colibri/cserv/registry.hpp"
@@ -247,6 +248,9 @@ class CServ : public telemetry::MetricsSource {
   drkey::KeyServer key_server_;
   drkey::KeyCache key_cache_;
   drkey::Key128 hop_key_;
+  // K_i schedule, expanded once: the AS's own secret, not per-source
+  // state (§5.3), issued with every SegR token and EER σ_i.
+  crypto::Aes128 hop_cipher_;
   const Clock* clock_;
   CservConfig cfg_;
 

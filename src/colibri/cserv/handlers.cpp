@@ -200,10 +200,10 @@ struct Handlers::SegPass {
     const std::uint8_t hop = pkt.current_hop;
     proto::ResInfo final_ri = pkt.resinfo;
     final_ri.bw_kbps = final_bw;
-    crypto::Aes128 hop_cipher(self.hop_key_.bytes.data());
     if (hop < resp.tokens.size()) {
       resp.tokens[hop] = dataplane::compute_seg_hvf(
-          hop_cipher, final_ri, pkt.path[hop].ingress, pkt.path[hop].egress);
+          self.hop_cipher_, final_ri, pkt.path[hop].ingress,
+          pkt.path[hop].egress);
     }
     self.metrics_.seg_granted.inc();
     return Granted{renewal ? "segr.renewed" : "segr.admitted",
@@ -432,9 +432,8 @@ struct Handlers::EerPass {
     const std::uint8_t hop = pkt.current_hop;
     proto::ResInfo final_ri = pkt.resinfo;
     final_ri.bw_kbps = final_bw;
-    crypto::Aes128 hop_cipher(self.hop_key_.bytes.data());
     const dataplane::HopAuth sigma = dataplane::compute_hopauth(
-        hop_cipher, final_ri, pkt.eerinfo, msg->path[hop].ingress,
+        self.hop_cipher_, final_ri, pkt.eerinfo, msg->path[hop].ingress,
         msg->path[hop].egress);
 
     const drkey::Key128 seal_key =

@@ -205,18 +205,17 @@ size_t Gateway::run(const ResId* ids, const std::uint32_t* payload_bytes,
   if (prof) tp = profiler_.lap(kStagePrepare, tp);
 
   // Stage 3: multi-lane Eq. 6 HVF fill. Every (packet, hop) pair is one
-  // AES lane with its own σ_i key; lanes are expanded with the fast
-  // key schedule and enciphered 4-wide, flushed in fixed-size groups so
-  // the scratch stays on the stack (up to kChunk packets × kMaxHops
-  // hops per chunk).
+  // AES lane with its own σ_i key; lanes are keyed and enciphered
+  // 4-wide, flushed in fixed-size groups so the scratch stays on the
+  // stack (up to kChunk packets × kMaxHops hops per chunk).
   constexpr size_t kLanes = 64;
-  crypto::AesSchedule scheds[kLanes];
+  crypto::Aes128 ciphers[kLanes];  // keyed below; no per-call clear
   alignas(16) std::uint8_t blocks[kLanes * 16];
   alignas(16) std::uint8_t enc[kLanes * 16];
   proto::Hvf* dst[kLanes];
   size_t l = 0;
   const auto flush = [&] {
-    crypto::aes128_encrypt_each(scheds, l, blocks, enc);
+    crypto::aes128_encrypt_each(ciphers, l, blocks, enc);
     for (size_t j = 0; j < l; ++j) {
       std::memcpy(dst[j]->data(), enc + 16 * j, dst[j]->size());
     }
@@ -227,7 +226,7 @@ size_t Gateway::run(const ResId* ids, const std::uint32_t* payload_bytes,
     if (e == nullptr) continue;
     const std::uint32_t size = out[i].wire_size();
     for (std::uint8_t h = 0; h < e->num_hops; ++h) {
-      scheds[l].expand(e->sigmas[h].data());
+      ciphers[l].set_key(e->sigmas[h].data());
       std::memset(blocks + 16 * l, 0, 16);
       proto::build_data_mac_input(out[i].timestamp, size, blocks + 16 * l);
       dst[l] = &out[i].hvfs[h];

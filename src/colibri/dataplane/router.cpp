@@ -102,8 +102,8 @@ BorderRouter::Verdict BorderRouter::finalize(FastPacket& pkt, TimeNs now,
 // Multi-lane expected-HVF computation. All per-packet MACs under K_i
 // share one key, so the CBC-MAC chains of the whole batch run through
 // Aes128::encrypt_blocks (4-wide interleaved on AES-NI); the Eq. 6
-// encryption is keyed per packet by σ_i, so those lanes go through
-// AesSchedule + aes128_encrypt_each. Pure computation — no telemetry,
+// encryption is keyed per packet by σ_i, so those lanes are one Aes128
+// each through aes128_encrypt_each. Pure computation — no telemetry,
 // no clock, no hook state — which is why it may run speculatively for
 // packets the sequential finalize later drops as expired or blocked.
 void BorderRouter::batch_expected_hvfs(const FastPacket* pkts, std::size_t n,
@@ -153,16 +153,16 @@ void BorderRouter::batch_expected_hvfs(const FastPacket* pkts, std::size_t n,
     crypto::cbcmac_fixed_multi(hop_cipher_, eer_msgs, proto::kHopAuthInputLen,
                                kHopStride, n_eer, sigmas);
     // Eq. 6: one single-block encryption per packet, keyed by its σ_i.
-    crypto::AesSchedule scheds[kCap];
+    crypto::Aes128 ciphers[kCap];  // keyed below; no per-call clear
     alignas(16) std::uint8_t blocks[kCap * 16];
     std::memset(blocks, 0, 16 * n_eer);
     for (std::size_t j = 0; j < n_eer; ++j) {
-      scheds[j].expand(sigmas + 16 * j);
+      ciphers[j].set_key(sigmas + 16 * j);
       const FastPacket& p = pkts[eer_lane[j]];
       proto::build_data_mac_input(p.timestamp, p.wire_size(), blocks + 16 * j);
     }
     alignas(16) std::uint8_t enc[kCap * 16];
-    crypto::aes128_encrypt_each(scheds, n_eer, blocks, enc);
+    crypto::aes128_encrypt_each(ciphers, n_eer, blocks, enc);
     for (std::size_t j = 0; j < n_eer; ++j) {
       proto::Hvf& v = expected[eer_lane[j]];
       std::memcpy(v.data(), enc + 16 * j, v.size());

@@ -1,7 +1,5 @@
 #include "colibri/reservation/db.hpp"
 
-#include <algorithm>
-
 namespace colibri::reservation {
 
 std::vector<SegrRecord> ReservationDb::segr_snapshot() const {
@@ -16,22 +14,6 @@ std::vector<EerRecord> ReservationDb::eer_snapshot() const {
   out.reserve(eer_count());
   for_each_eer([&](const EerRecord& rec) { out.push_back(rec); });
   return out;
-}
-
-std::vector<ResKey> ReservationDb::eer_keys_of_shard(size_t shard_idx) const {
-  std::vector<ResKey> keys;
-  if (shard_idx >= shards_.size()) return keys;
-  const Shard& s = shards_[shard_idx];
-  {
-    std::lock_guard lock(s.mu);
-    keys.reserve(s.eers.size());
-    s.eers.for_each([&](const EerRecord& rec) { keys.push_back(rec.key); });
-  }
-  std::sort(keys.begin(), keys.end(), [](const ResKey& a, const ResKey& b) {
-    return a.res_id != b.res_id ? a.res_id < b.res_id
-                                : a.src_as.raw() < b.src_as.raw();
-  });
-  return keys;
 }
 
 size_t ReservationDb::sweep_segrs(

@@ -207,10 +207,6 @@ class ReservationDb {
   std::vector<SegrRecord> segr_snapshot() const;
   std::vector<EerRecord> eer_snapshot() const;
 
-  // Keys of the live EERs owned by shard `shard_idx`, ResId-ordered —
-  // the unit of batched renewal processing (one batch per shard).
-  std::vector<ResKey> eer_keys_of_shard(size_t shard_idx) const;
-
   // --- expiry --------------------------------------------------------------
   // Two-phase sweeps: removal happens under the shard lock, the callbacks
   // run on copies after it is released (safe to re-enter the db / release

@@ -481,7 +481,9 @@ TEST(BatchedFlightRecorderTest, EveryDropIsRecordedWithoutSampling) {
             records[i].verdict)),
         Errc::kOk)
         << "record " << i;
-    if (i > 0) EXPECT_GT(records[i].seq, records[i - 1].seq);
+    if (i > 0) {
+      EXPECT_GT(records[i].seq, records[i - 1].seq);
+    }
   }
 }
 

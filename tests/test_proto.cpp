@@ -43,7 +43,9 @@ TEST(PacketCodecTest, RoundTripStable) {
     EXPECT_EQ(decoded->timestamp, p.timestamp);
     EXPECT_EQ(decoded->hvfs, p.hvfs);
     EXPECT_EQ(decoded->payload, p.payload);
-    if (eer) EXPECT_EQ(decoded->eerinfo, p.eerinfo);
+    if (eer) {
+      EXPECT_EQ(decoded->eerinfo, p.eerinfo);
+    }
   }
 }
 

@@ -82,7 +82,9 @@ TEST_F(RenewalManagerTest, PlanBucketsDueKeysByShardInOrder) {
   for (size_t i = 0; i < batches.size(); ++i) {
     const auto& batch = batches[i];
     EXPECT_FALSE(batch.due.empty());
-    if (i > 0) EXPECT_GT(batch.shard, last_shard);  // ascending shards
+    if (i > 0) {
+      EXPECT_GT(batch.shard, last_shard);  // ascending shards
+    }
     last_shard = batch.shard;
     ResId prev = 0;
     for (const ResKey& key : batch.due) {

@@ -2,7 +2,6 @@
 // pair locking, atomic id allocation, snapshots, two-phase sweeps.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <set>
 #include <thread>
 #include <vector>
@@ -138,24 +137,6 @@ TEST(ReservationDbTest, CountsAndSnapshotsSpanAllShards) {
   EXPECT_EQ(eers, 50u);
 }
 
-TEST(ReservationDbTest, EerKeysOfShardAreOrderedAndPartition) {
-  ReservationDb db(kOwner, 8);
-  for (ResId id = 1; id <= 500; ++id) db.upsert_eer(make_eer(id));
-  std::set<ResId> all;
-  for (size_t s = 0; s < db.num_shards(); ++s) {
-    const auto keys = db.eer_keys_of_shard(s);
-    for (const ResKey& k : keys) {
-      EXPECT_EQ(db.shard_of(k.res_id), s);
-      EXPECT_TRUE(all.insert(k.res_id).second);  // partition: no overlap
-    }
-    EXPECT_TRUE(std::is_sorted(keys.begin(), keys.end(),
-                               [](const ResKey& x, const ResKey& y) {
-                                 return x.res_id < y.res_id;
-                               }));
-  }
-  EXPECT_EQ(all.size(), 500u);  // partition: complete
-}
-
 TEST(ReservationDbTest, TwoPhaseSweepRunsCallbacksOnCopies) {
   ReservationDb db(kOwner, 4);
   for (ResId id = 1; id <= 20; ++id) db.upsert_segr(make_segr(id, 10'000, 100));
@@ -178,12 +159,22 @@ TEST(ReservationDbTest, SweepEersDropsExpiredVersionsOnly) {
   auto live = make_eer(2, 100);
   live.versions.push_back(EerVersion{1, 100, 900});  // renewed
   db.upsert_eer(std::move(live));
+  // EERs set up together expire together (§3.2): a fleet due at the
+  // same instant, spread over every shard.
+  for (ResId id = 3; id <= 2'000; ++id) db.upsert_eer(make_eer(id, 100));
+  EXPECT_EQ(db.sweep_eers(99, nullptr), 0u);
 
   size_t removed = 0;
-  db.sweep_eers(500, [&](const EerRecord&) { ++removed; });
-  EXPECT_EQ(removed, 1u);
+  std::set<size_t> shards;
+  db.sweep_eers(500, [&](const EerRecord& rec) {
+    ++removed;
+    shards.insert(db.shard_of(rec.key.res_id));
+  });
+  EXPECT_EQ(removed, 1'999u);
+  EXPECT_EQ(shards.size(), db.num_shards());
   EXPECT_FALSE(db.contains_eer(ResKey{kOwner, 1}));
   EXPECT_TRUE(db.contains_eer(ResKey{kOwner, 2}));
+  EXPECT_EQ(db.eer_count(), 1u);
 }
 
 TEST(ReservationDbTest, NextResIdIsUniqueAcrossThreads) {
